@@ -129,10 +129,10 @@ int main() {
                 {"method", "final fidelity error", "iterations", "evaluations", "stop"},
                 rows);
 
-    // Part 3: the registry solver matrix -- every gradient-capable Solver
-    // (plus iLQR) x paper gate x pulse duration, all through the same
-    // pulse_optim front end.  Wall time comes from the solvers' own
-    // telemetry records (SolverLoop timestamps), not a clock in this file.
+    // Part 3: the solver matrix -- both GRAPE gradient solvers x paper gate
+    // x pulse duration, all through the same pulse_optim front end.  Wall
+    // time comes from the solvers' own telemetry records (SolverLoop
+    // timestamps), not a clock in this file.
     rows.clear();
     struct GateCase {
         const char* name;
@@ -144,8 +144,6 @@ int main() {
         const char* name;
     } solvers[] = {
         {control::OptimMethod::kLbfgsB, "lbfgsb"},
-        {control::OptimMethod::kCgDescent, "cg_descent"},
-        {control::OptimMethod::kIlqr, "ilqr"},
         {control::OptimMethod::kGradientDescent, "gradient_descent"},
     };
     for (const double evo : {30.0, 60.0}) {

@@ -438,8 +438,8 @@ BENCHMARK(BM_ObsOverhead)->Arg(0)->Arg(1);
 
 // Same two-state shape for the lock-free latency histograms: Arg 0 bounds
 // the disabled path (one relaxed load + branch, ~1 ns), Arg 1 the enabled
-// log-bucketed record (owner-thread relaxed load+store on a bucket cell --
-// still mutex-free, unlike the named hist_observe it replaced on hot paths).
+// log-bucketed record (owner-thread relaxed load+store on a bucket cell,
+// mutex-free).
 // An LCG varies the value so bucket indexing isn't constant-folded.
 void BM_HistObserve(benchmark::State& state) {
     const bool externally_enabled =

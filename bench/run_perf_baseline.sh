@@ -92,7 +92,7 @@ QOC_METRICS="$metrics_out" "$build_dir/bench/bench_perf_kernels" \
 echo "wrote $out (repo build type: $build_type)"
 echo "wrote $metrics_out (obs metrics for this run)"
 
-# Optimizer-ablation matrix: every registry solver x paper gate x duration
+# Optimizer-ablation matrix: both GRAPE gradient solvers x paper gate x duration
 # through the same pulse_optim front end (fidelity / iteration / wall-time
 # table, the evidence behind the baseline_pr10 trailer).  Same pinned
 # QOC_THREADS as the kernel run so wall times are comparable across records.

@@ -77,14 +77,6 @@ public:
     /// Slot exponent `scale * (drift + sum u_j ctrl_j)`.
     Mat slot_exponent(const std::vector<double>& amps) const;
 
-    /// iLQR linearization seam: one slot's propagator P = expm(A(u)) and its
-    /// control derivatives dP_j = L(A, scale*H_j) from a single
-    /// shared-intermediate Frechet call (the same engine `objective` uses,
-    /// so the linearization matches the gradient arithmetic bit-for-bit).
-    /// `dprops` must point at `n_ctrl()` matrices.  Thread-safe: scratch is
-    /// leased per call from the workspace pool.
-    void slot_propagator_and_derivs(const double* amps, Mat& prop, Mat* dprops) const;
-
     /// Final evolution operator for an amplitude table.
     Mat evolution(const ControlAmplitudes& amps) const;
 

@@ -6,7 +6,8 @@
 #include <random>
 
 #include "control/control_problem.hpp"
-#include "optim/solver.hpp"
+#include "obs/obs.hpp"
+#include "optim/nelder_mead.hpp"
 
 namespace qoc::control {
 
@@ -51,15 +52,14 @@ CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& opts) {
 
     // ONE evaluator serves every direct-search probe (the old code built a
     // fresh one per evaluation); its workspaces amortize across the sweep.
-    optim::SolverProblem sp;
-    sp.scalar = [&](const std::vector<double>& coeffs) {
+    const optim::ScalarObjective objective = [&](const std::vector<double>& coeffs) {
         return cp.fid_err(build_amps(coeffs));
     };
 
-    optim::SolverOptions nm;
+    optim::NelderMeadOptions nm;
     nm.max_evaluations = opts.max_evaluations;
     nm.max_iterations = opts.max_iterations;
-    nm.step = 0.1;  // initial simplex edge
+    nm.initial_step = 0.1;  // initial simplex edge
     nm.telemetry_label = "crab";
 
     CrabResult result;
@@ -68,11 +68,10 @@ CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& opts) {
         result.iteration_records.push_back(rec);
     };
 
-    const auto opt = optim::find_solver("nelder_mead")
-                         .solve(sp, std::vector<double>(n_params, 0.0),
-                                optim::Bounds::uniform(n_params, -opts.coeff_bound,
-                                                       opts.coeff_bound),
-                                nm);
+    obs::count(obs::Cnt::kSolverDispatches);
+    const auto opt = optim::nelder_mead_minimize(
+        objective, std::vector<double>(n_params, 0.0),
+        optim::Bounds::uniform(n_params, -opts.coeff_bound, opts.coeff_bound), nm);
 
     result.initial_fid_err = cp.fid_err(problem.initial_amps);
     result.final_amps = build_amps(opt.x);

@@ -6,11 +6,12 @@
 
 #include "contracts/matrix_checks.hpp"
 #include "control/control_problem.hpp"
+#include "obs/obs.hpp"
+#include "optim/gradient_descent.hpp"
 
 namespace qoc::control {
 
-GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
-                        const optim::SolverOptions& opts_in) {
+GrapeResult grape_optimize(const ControlProblem& cp, const optim::LbfgsBOptions& opts_in) {
     const GrapeProblem& problem = cp.problem();
 
     GrapeResult result;
@@ -33,9 +34,9 @@ GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
         }
     }
 
-    optim::SolverProblem sp;
-    sp.objective = [&](const std::vector<double>& x, std::vector<double>& g) {
-        // Hardware-range invariant: the solvers evaluate only in-box iterates
+    const optim::Objective objective = [&](const std::vector<double>& x,
+                                           std::vector<double>& g) {
+        // Hardware-range invariant: the solver evaluates only in-box iterates
         // (the paper's +-1 PWC amplitude bound, or the user's box).
         if (contracts::enabled()) {
             for (std::size_t i = 0; i < x.size(); ++i) {
@@ -46,16 +47,16 @@ GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
         return cp.objective(x, g);
     };
 
-    optim::SolverOptions opts = opts_in;
-    auto user_iter_cb = opts.iter_callback;
+    optim::LbfgsBOptions opts = opts_in;
     opts.iter_callback = [&](const optim::IterationRecord& rec) {
         result.fid_err_history.push_back(rec.cost);
         result.iteration_records.push_back(rec);
-        if (user_iter_cb) user_iter_cb(rec);
+        if (opts_in.iter_callback) opts_in.iter_callback(rec);
     };
 
+    obs::count(obs::Cnt::kSolverDispatches);
     const optim::OptimResult opt =
-        optim::find_solver(solver).solve(sp, cp.flatten(problem.initial_amps), bounds, opts);
+        optim::lbfgsb_minimize(objective, cp.flatten(problem.initial_amps), bounds, opts);
 
     result.final_amps = cp.unflatten(opt.x);
     result.final_evolution = cp.evolution(result.final_amps);
@@ -64,19 +65,6 @@ GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
     result.evaluations = opt.evaluations;
     result.reason = opt.reason;
     return result;
-}
-
-GrapeResult grape_optimize(const ControlProblem& cp, const optim::LbfgsBOptions& opts_in) {
-    optim::SolverOptions opts;
-    opts.memory = opts_in.memory;
-    opts.max_iterations = opts_in.max_iterations;
-    opts.max_evaluations = opts_in.max_evaluations;
-    opts.tol = opts_in.pg_tol;
-    opts.f_tol = opts_in.f_tol;
-    opts.target_f = opts_in.target_f;
-    opts.iter_callback = opts_in.iter_callback;
-    opts.telemetry_label = opts_in.telemetry_label;
-    return grape_solve(cp, "lbfgsb", opts);
 }
 
 GrapeResult grape_unitary(const GrapeProblem& problem, const optim::LbfgsBOptions& opts) {
@@ -104,12 +92,12 @@ GrapeResult grape_gradient_descent(const ControlProblem& cp, double learning_rat
         return result;
     }
 
-    optim::SolverProblem sp;
-    sp.objective = [&](const std::vector<double>& x, std::vector<double>& g) {
+    const optim::Objective objective = [&](const std::vector<double>& x,
+                                           std::vector<double>& g) {
         return cp.objective(x, g);
     };
-    optim::SolverOptions opts;
-    opts.step = learning_rate;
+    optim::GradientDescentOptions opts;
+    opts.learning_rate = learning_rate;
     opts.max_iterations = iterations;
     opts.telemetry_label = "grape_gd";
     opts.iter_callback = [&](const optim::IterationRecord& rec) {
@@ -117,12 +105,10 @@ GrapeResult grape_gradient_descent(const ControlProblem& cp, double learning_rat
         result.iteration_records.push_back(rec);
     };
 
-    const optim::OptimResult opt = optim::find_solver("gradient_descent")
-                                       .solve(sp, cp.flatten(problem.initial_amps),
-                                              optim::Bounds::uniform(cp.n_params(),
-                                                                     problem.amp_lower,
-                                                                     problem.amp_upper),
-                                              opts);
+    obs::count(obs::Cnt::kSolverDispatches);
+    const optim::OptimResult opt = optim::gradient_descent_minimize(
+        objective, cp.flatten(problem.initial_amps),
+        optim::Bounds::uniform(cp.n_params(), problem.amp_lower, problem.amp_upper), opts);
 
     // The first objective call evaluates the unmodified amplitudes, so its
     // value *is* the initial fidelity error; a separate evolution() pass

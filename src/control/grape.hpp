@@ -14,12 +14,10 @@
 #pragma once
 
 #include <optional>
-#include <string_view>
 
 #include "dynamics/propagator.hpp"
 #include "optim/lbfgsb.hpp"
 #include "optim/problem.hpp"
-#include "optim/solver.hpp"
 
 namespace qoc::control {
 
@@ -91,16 +89,9 @@ struct GrapeResult {
 
 class ControlProblem;  // the shared PWC evaluator (control_problem.hpp)
 
-/// GRAPE through ANY registered gradient-based solver: builds the bounds and
-/// the exact-gradient objective once, then dispatches via the
-/// `optim::Solver` registry (`"lbfgsb"`, `"cg_descent"`, ...).  History and
-/// iteration records are captured through the shared callback plumbing, so
-/// every solver reports through the same `GrapeResult` shape.
-GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
-                        const optim::SolverOptions& opts = {});
-
-/// L-BFGS-B GRAPE over an already-constructed evaluator (a `grape_solve`
-/// wrapper keeping the historical typed-options signature).  The
+/// L-BFGS-B GRAPE over an already-constructed evaluator: builds the bounds
+/// and the exact-gradient objective once and runs `lbfgsb_minimize`, with
+/// history and iteration records captured through the callback.  The
 /// GrapeProblem entry points below are thin wrappers over this; front ends
 /// that reuse an evaluator (pulse_optim, the design pipeline) call it
 /// directly.

@@ -5,7 +5,6 @@
 #include "control/control_problem.hpp"
 #include "control/crab.hpp"
 #include "control/goat.hpp"
-#include "control/ilqr.hpp"
 #include "control/krotov.hpp"
 
 namespace qoc::control {
@@ -24,19 +23,7 @@ void adopt(const GrapeResult& g, PulseOptimResult& result) {
     result.iteration_records = g.iteration_records;
 }
 
-/// Shared driver for the generic gradient solvers: map the spec's budget
-/// onto `SolverOptions` and dispatch through the `optim::Solver` registry.
-void drive_solver(const MethodContext& ctx, PulseOptimResult& result, const char* solver) {
-    optim::SolverOptions opts;
-    opts.max_iterations = ctx.spec.max_iterations;
-    opts.max_evaluations = ctx.spec.max_evaluations;
-    opts.target_f = ctx.spec.target_fid_err;
-    adopt(grape_solve(ctx.cp, solver, opts), result);
-}
-
 void drive_lbfgsb(const MethodContext& ctx, PulseOptimResult& result) {
-    // Keeps the historical typed-options path (grape_optimize maps onto the
-    // same registry dispatch) so front ends stay byte-identical.
     optim::LbfgsBOptions opts;
     opts.max_iterations = ctx.spec.max_iterations;
     opts.max_evaluations = ctx.spec.max_evaluations;
@@ -46,10 +33,6 @@ void drive_lbfgsb(const MethodContext& ctx, PulseOptimResult& result) {
 
 void drive_gradient_descent(const MethodContext& ctx, PulseOptimResult& result) {
     adopt(grape_gradient_descent(ctx.cp, 0.1, ctx.spec.max_iterations), result);
-}
-
-void drive_cg_descent(const MethodContext& ctx, PulseOptimResult& result) {
-    drive_solver(ctx, result, "cg_descent");
 }
 
 void drive_crab(const MethodContext& ctx, PulseOptimResult& result) {
@@ -90,46 +73,21 @@ void drive_goat(const MethodContext& ctx, PulseOptimResult& result) {
     result.reason = g.reason;
 }
 
-void drive_ilqr(const MethodContext& ctx, PulseOptimResult& result) {
-    IlqrOptions opts;
-    opts.max_iterations = ctx.spec.max_iterations;
-    opts.max_evaluations = ctx.spec.max_evaluations;
-    opts.target_f = ctx.spec.target_fid_err;
-    adopt(ilqr_optimize(ctx.cp, opts), result);
-}
-
-const std::vector<MethodInfo>& table() {
-    static const std::vector<MethodInfo> kMethods = {
-        {OptimMethod::kLbfgsB, "lbfgsb", "L-BFGS-B", false, drive_lbfgsb},
-        {OptimMethod::kGradientDescent, "gradient_descent", "gradient descent", false,
-         drive_gradient_descent},
-        {OptimMethod::kCrab, "crab", "CRAB", false, drive_crab},
-        {OptimMethod::kKrotov, "krotov", "Krotov", true, drive_krotov},
-        {OptimMethod::kGoat, "goat", "GOAT", true, drive_goat},
-        {OptimMethod::kCgDescent, "cg_descent", "CG-descent", false, drive_cg_descent},
-        {OptimMethod::kIlqr, "ilqr", "iLQR", true, drive_ilqr},
-    };
-    return kMethods;
-}
+constexpr MethodInfo kMethods[] = {
+    {OptimMethod::kLbfgsB, "L-BFGS-B", false, drive_lbfgsb},
+    {OptimMethod::kGradientDescent, "gradient descent", false, drive_gradient_descent},
+    {OptimMethod::kCrab, "CRAB", false, drive_crab},
+    {OptimMethod::kKrotov, "Krotov", true, drive_krotov},
+    {OptimMethod::kGoat, "GOAT", true, drive_goat},
+};
 
 }  // namespace
 
-const std::vector<MethodInfo>& method_registry() { return table(); }
-
 const MethodInfo& find_method(OptimMethod method) {
-    for (const MethodInfo& m : table()) {
+    for (const MethodInfo& m : kMethods) {
         if (m.method == method) return m;
     }
     throw std::invalid_argument("find_method: unregistered OptimMethod");
 }
-
-const MethodInfo* find_method(std::string_view name) {
-    for (const MethodInfo& m : table()) {
-        if (name == m.name) return &m;
-    }
-    return nullptr;
-}
-
-const char* method_name(OptimMethod method) { return find_method(method).name; }
 
 }  // namespace qoc::control

@@ -1,21 +1,14 @@
 /// \file method_registry.hpp
-/// \brief `OptimMethod` -> driver registry behind `pulse_optim`.
+/// \brief `OptimMethod` -> driver table behind `pulse_optim`.
 ///
-/// Each pulse-optimization method registers one `MethodInfo` row: a stable
-/// string key (used by CLI flags, the design pipeline, the calibration
-/// service and bench matrices), a human display name, the closed-system-only
-/// flag (enforced uniformly by `pulse_optim`), and the driver that maps the
-/// spec onto the method's entry point.  `pulse_optim` is a pure lookup +
+/// Each pulse-optimization method has one `MethodInfo` row: a human display
+/// name, the closed-system-only flag (enforced uniformly by `pulse_optim`),
+/// and the driver that maps the spec onto the method's typed entry point
+/// (`grape_optimize`, `grape_gradient_descent`, `crab_optimize`,
+/// `krotov_unitary`, `goat_optimize`).  `pulse_optim` is a pure lookup +
 /// dispatch -- adding a method means adding a row here, not growing a switch.
-///
-/// Generic gradient solvers (L-BFGS-B, Hager-Zhang CG) reach their algorithm
-/// through the `optim::Solver` registry via `grape_solve`; structure-specific
-/// methods (Krotov, GOAT, iLQR, CRAB) keep their bespoke drivers.
 
 #pragma once
-
-#include <string_view>
-#include <vector>
 
 #include "control/pulseoptim.hpp"
 
@@ -38,23 +31,12 @@ using MethodDriver = void (*)(const MethodContext&, PulseOptimResult&);
 
 struct MethodInfo {
     OptimMethod method = OptimMethod::kLbfgsB;
-    const char* name = "";          ///< stable key, e.g. "lbfgsb", "ilqr"
     const char* display_name = "";  ///< for error messages and reports
     bool closed_only = false;       ///< throws for open (Liouvillian) specs
     MethodDriver driver = nullptr;
 };
 
-/// All registered methods in enum order (one row per `OptimMethod`).
-const std::vector<MethodInfo>& method_registry();
-
 /// Lookup by enum; every `OptimMethod` value has a row.
 const MethodInfo& find_method(OptimMethod method);
-
-/// Lookup by stable key; nullptr when unknown.
-const MethodInfo* find_method(std::string_view name);
-
-/// Stable key of a method ("lbfgsb", "gradient_descent", "crab", "krotov",
-/// "goat", "cg_descent", "ilqr").
-const char* method_name(OptimMethod method);
 
 }  // namespace qoc::control

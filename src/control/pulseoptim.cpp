@@ -125,7 +125,7 @@ PulseOptimResult pulse_optim(const PulseOptimSpec& spec) {
     result.open_system = open_system;
     result.initial_amps = prob.initial_amps;
 
-    // ONE evaluator; every registered method dispatches through it.
+    // ONE evaluator; every method in the table dispatches through it.
     const ControlProblem cp(prob, open_system);
 
     const MethodInfo& info = find_method(spec.method);

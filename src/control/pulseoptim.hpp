@@ -32,15 +32,13 @@ enum class InitialPulseType {
 
 /// Which numerical optimizer drives the pulse search.  All methods
 /// dispatch through the same `control::ControlProblem` evaluator, via the
-/// method registry in method_registry.hpp.
+/// method table in method_registry.hpp.
 enum class OptimMethod {
     kLbfgsB,           ///< second-order GRAPE (the paper's choice)
     kGradientDescent,  ///< first-order GRAPE baseline
     kCrab,             ///< CRAB + Nelder-Mead baseline
     kKrotov,           ///< Krotov's sequential monotone update (closed only)
     kGoat,             ///< GOAT analytic Fourier controls (closed only)
-    kCgDescent,        ///< Hager-Zhang CG-descent GRAPE (first-order memory-light)
-    kIlqr,             ///< iLQR trajectory optimization (closed only)
 };
 
 struct PulseOptimSpec {

@@ -47,7 +47,6 @@ DesignedGate design_1q_gate(const BackendConfig& nominal, std::size_t qubit,
     ps.random_seed = spec.random_seed;
     ps.max_iterations = spec.max_iterations;
     ps.target_fid_err = spec.target_fid_err;
-    ps.method = spec.method;
     // Hardware amplitude constraint (paper Section 3.1: amplitudes within
     // +-1); with both quadratures in play the per-quadrature box must fit
     // inside the unit disc.
@@ -147,7 +146,6 @@ DesignedCx design_cx_gate(const BackendConfig& nominal, const CxDesignSpec& spec
     ps.random_seed = spec.random_seed;
     ps.max_iterations = spec.max_iterations;
     ps.target_fid_err = spec.target_fid_err;
-    ps.method = spec.method;
     const double bound = std::min(spec.amp_bound, 1.0 / std::sqrt(2.0));
     ps.amp_lower = -bound;
     ps.amp_upper = bound;

@@ -54,9 +54,6 @@ struct GateDesignSpec {
     std::uint64_t random_seed = 99;
     int max_iterations = 400;
     double target_fid_err = 1e-9;
-    /// Which optimizer drives the design (any registered method; iLQR is
-    /// closed-system only, so pair it with a *Closed design model).
-    control::OptimMethod method = control::OptimMethod::kLbfgsB;
 };
 
 struct DesignedGate {
@@ -82,8 +79,6 @@ struct CxDesignSpec {
     std::uint64_t random_seed = 7;
     int max_iterations = 600;
     double target_fid_err = 1e-8;
-    /// Which optimizer drives the design (see GateDesignSpec::method).
-    control::OptimMethod method = control::OptimMethod::kLbfgsB;
     /// When true, optimize the paper's idealized three-term control set
     /// (XI, IX, ZX as independent knobs); otherwise the channel-faithful set
     /// (D0, D1, U0 with the device's CR mixing).

@@ -35,10 +35,9 @@ struct alignas(64) ThreadSlot {
 };
 
 struct Registry {
-    std::mutex mu;  ///< guards slot registration and the cold maps below
+    std::mutex mu;  ///< guards slot registration and the cold fields below
     std::vector<std::unique_ptr<ThreadSlot>> slots;
     std::map<std::string, double> gauges;
-    std::map<std::string, std::map<std::int64_t, std::uint64_t>> hists;
     std::string trace_path;
 
     std::mutex io_mu;  ///< guards the JSONL stream
@@ -98,8 +97,6 @@ constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "service.requests.admitted",
     "service.queue.shed",
     "solver.dispatches",
-    "solver.cg.restarts",
-    "solver.ilqr.reg_bumps",
 };
 
 constexpr std::array<const char*, kNumHists> kHistNames = {
@@ -115,12 +112,10 @@ constexpr std::array<const char*, kNumHists> kHistNames = {
     "irb.wall",
     "pool.task.queue_wait",
     "lbfgsb.line_search_evals",
-    "solver.cg.line_search_evals",
-    "solver.ilqr.forward_passes",
 };
 
 /// Writes the final metrics object (counters + Pade-order histogram +
-/// latency histograms + gauges + named histograms + span-ring accounting)
+/// latency histograms + gauges + span-ring accounting)
 /// as one JSONL line.  Caller holds io_mu.
 void write_metrics_line(std::FILE* f) {
     std::fprintf(f, "{\"type\":\"metrics\",\"counters\":{");
@@ -137,21 +132,6 @@ void write_metrics_line(std::FILE* f) {
                      static_cast<unsigned long long>(counter_value(pade[i].second)));
     }
     std::fprintf(f, "}");
-    Registry& r = reg();
-    {
-        std::lock_guard<std::mutex> lock(r.mu);
-        for (const auto& [name, buckets] : r.hists) {
-            std::fprintf(f, ",\"%s\":{", name.c_str());
-            bool first = true;
-            for (const auto& [value, n] : buckets) {
-                std::fprintf(f, "%s\"%lld\":%llu", first ? "" : ",",
-                             static_cast<long long>(value),
-                             static_cast<unsigned long long>(n));
-                first = false;
-            }
-            std::fprintf(f, "}");
-        }
-    }
     // Non-empty fixed latency histograms: sparse buckets (keyed by the
     // bucket's lower bound) plus merged quantile estimates.
     std::fprintf(f, "},\"latency_histograms\":{");
@@ -182,6 +162,7 @@ void write_metrics_line(std::FILE* f) {
     }
     std::fprintf(f, "},\"gauges\":{");
     {
+        Registry& r = reg();
         std::lock_guard<std::mutex> lock(r.mu);
         bool first = true;
         for (const auto& [name, value] : r.gauges) {
@@ -385,13 +366,6 @@ std::vector<std::pair<std::string, double>> gauges_snapshot() {
     return {r.gauges.begin(), r.gauges.end()};
 }
 
-void hist_observe(const char* name, std::int64_t value) {
-    if (!metrics_enabled()) return;
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    ++r.hists[name][value];
-}
-
 void emit_optimizer_iteration(const char* optimizer, int iteration, double cost,
                               double grad_norm, double step, int n_fun_evals,
                               double wall_time_s) {
@@ -529,7 +503,6 @@ void reset_for_testing() {
     std::lock_guard<std::mutex> lock(r.mu);
     r.trace_path.clear();
     r.gauges.clear();
-    r.hists.clear();
     for (auto& s : r.slots) {
         for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
         for (auto& row : s->hist_buckets) {

@@ -8,13 +8,11 @@
 ///    allocation on the hot path; buffers are merged and time-sorted at
 ///    flush and written as a `{"traceEvents": [...]}` JSON file.
 ///  * A **metrics registry**: fixed-enum counters (`count`) on per-thread
-///    padded cells (summed at read), plus named gauges and integer-valued
-///    histograms for cold paths (mutex inside).
+///    padded cells (summed at read), plus named gauges for cold paths
+///    (mutex inside).
 ///  * Fixed-enum **latency histograms** (`hist_record`): lock-free
 ///    log-bucketed value distributions on the same per-thread cells as the
-///    counters, merged at read into p50/p90/p99/p999 quantile estimates --
-///    the service request path records into these, never into the
-///    mutex-guarded named histograms.
+///    counters, merged at read into p50/p90/p99/p999 quantile estimates.
 ///  * Structured **telemetry records** streamed as JSONL (one object per
 ///    line): per-iteration optimizer records, per-seed RB records,
 ///    per-request `service_request` records (joinable to trace spans by
@@ -96,9 +94,7 @@ enum class Cnt : unsigned {
     kSvcCacheRevalidate,  ///< suspect entries re-validated by IRB (not redesigned)
     kSvcAdmitted,       ///< design requests admitted to the service queue (monotone)
     kSvcQueueShed,      ///< design requests shed by admission control
-    kSolverDispatches,  ///< solver runs dispatched through the optim registry
-    kSolverCgRestarts,  ///< CG-descent restarts to projected steepest descent
-    kSolverIlqrRegBumps, ///< iLQR Levenberg regularization increases
+    kSolverDispatches,  ///< L-BFGS-B GRAPE, gradient-descent GRAPE and CRAB runs
     kCount
 };
 
@@ -124,11 +120,6 @@ void set_gauge(const char* name, double value);
 /// Current gauge values, name-sorted (cold; takes the registry mutex).
 std::vector<std::pair<std::string, double>> gauges_snapshot();
 
-/// Adds one observation of an integer-valued named histogram (cold paths
-/// only: takes a mutex).  Stored exactly as value -> occurrence count.
-/// Hot paths use the fixed-enum `hist_record` below instead.
-void hist_observe(const char* name, std::int64_t value);
-
 // --- lock-free latency histograms -----------------------------------------
 //
 // Fixed histogram set recorded on per-thread padded cells, exactly like
@@ -153,8 +144,6 @@ enum class Hist : unsigned {
     kIrbWall,                      ///< one IRB characterization, wall ns
     kPoolQueueWait,                ///< task submit -> execution start, ns
     kLbfgsbLineSearchEvals,        ///< objective evaluations per line search
-    kCgLineSearchEvals,            ///< evaluations per CG-descent line search
-    kIlqrForwardPasses,            ///< forward-pass rollouts per iLQR iteration
     kCount
 };
 

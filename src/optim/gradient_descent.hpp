@@ -1,8 +1,8 @@
 /// \file gradient_descent.hpp
 /// \brief Projected gradient descent with a halving step-size backtrack.
 ///
-/// The paper's "first-order GRAPE" baseline, extracted from the control
-/// layer so it runs behind the shared `optim::Solver` interface: a fixed
+/// The paper's "first-order GRAPE" baseline, kept in the optim layer so it
+/// shares the `SolverLoop` bookkeeping with the other solvers: a fixed
 /// learning rate, halved whenever the objective rises (down to a 1e-6
 /// floor), with every step clipped into the box.  Deliberately simple --
 /// it exists to quantify how much the second-order methods buy.

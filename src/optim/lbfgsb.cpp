@@ -11,7 +11,6 @@
 
 #include "contracts/contracts.hpp"
 #include "obs/obs.hpp"
-#include "optim/globalization.hpp"
 #include "optim/solver_loop.hpp"
 
 namespace qoc::optim {
@@ -23,6 +22,137 @@ constexpr double kEpsMach = std::numeric_limits<double>::epsilon();
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
     return std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
+}
+
+/// Sufficient-decrease and curvature constants of the strong Wolfe
+/// conditions (the quasi-Newton values SciPy's `fmin_l_bfgs_b` uses).
+constexpr double kWolfeC1 = 1e-4;
+constexpr double kWolfeC2 = 0.9;
+
+/// Outcome of one line search: the accepted step length along the search
+/// direction, or `ok == false` when no acceptable point was found.
+struct LineSearchResult {
+    double alpha = 0.0;
+    bool ok = false;
+};
+
+/// Trial point and trial gradient of `wolfe_search`, kept alive across
+/// iterations so repeated searches allocate nothing after the first call.
+struct LineSearchWorkspace {
+    std::vector<double> xt, gt;
+};
+
+/// Strong Wolfe line search (Nocedal & Wright Algorithms 3.5/3.6) with cubic
+/// interpolation in the zoom phase.  Returns the accepted step or
+/// `ok == false` on failure; updates f/g/x to the accepted point and counts
+/// evaluations into `evals` (bounded by `max_evals`).  `alpha_max` caps the
+/// step (bound-limited steps that still satisfy sufficient decrease are
+/// accepted at the cap).
+LineSearchResult wolfe_search(const Objective& objective, std::vector<double>& x, double& f,
+                              std::vector<double>& g, const std::vector<double>& d,
+                              double alpha_max, int& evals, int max_evals,
+                              LineSearchWorkspace& ws) {
+    const double phi0 = f;
+    const double dphi0 = dot(g, d);
+    if (dphi0 >= 0.0) return {};
+
+    const std::size_t n = x.size();
+    ws.xt.resize(n);
+    ws.gt.resize(n);
+    std::vector<double>& xt = ws.xt;
+    std::vector<double>& gt = ws.gt;
+    auto eval = [&](double a, double& fa, double& dfa) {
+        for (std::size_t i = 0; i < n; ++i) xt[i] = x[i] + a * d[i];
+        fa = objective(xt, gt);
+        contracts::check_finite(fa, "line search: objective value");
+        contracts::check_all_finite(gt, "line search: gradient");
+        ++evals;
+        dfa = dot(gt, d);
+    };
+
+    auto accept = [&](double a, double fa) {
+        for (std::size_t i = 0; i < n; ++i) x[i] += a * d[i];
+        f = fa;
+        g = gt;
+        return LineSearchResult{a, true};
+    };
+
+    // Cubic minimizer of a Hermite interpolant on [a_lo, a_hi].
+    auto cubic = [](double a0, double f0, double df0, double a1, double f1, double df1) {
+        const double d1 = df0 + df1 - 3.0 * (f0 - f1) / (a0 - a1);
+        const double disc = d1 * d1 - df0 * df1;
+        if (disc < 0.0) return 0.5 * (a0 + a1);
+        const double d2 = std::copysign(std::sqrt(disc), a1 - a0);
+        double amin = a1 - (a1 - a0) * (df1 + d2 - d1) / (df1 - df0 + 2.0 * d2);
+        if (!std::isfinite(amin)) return 0.5 * (a0 + a1);
+        const double lo = std::min(a0, a1), hi = std::max(a0, a1);
+        return std::clamp(amin, lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo));
+    };
+
+    auto zoom = [&](double alo, double flo, double dflo, double ahi, double fhi,
+                    double dfhi) -> LineSearchResult {
+        for (int it = 0; it < 30 && evals < max_evals; ++it) {
+            const double a = cubic(alo, flo, dflo, ahi, fhi, dfhi);
+            double fa, dfa;
+            eval(a, fa, dfa);
+            if (fa > phi0 + kWolfeC1 * a * dphi0 || fa >= flo) {
+                ahi = a;
+                fhi = fa;
+                dfhi = dfa;
+            } else {
+                if (std::abs(dfa) <= -kWolfeC2 * dphi0) return accept(a, fa);
+                if (dfa * (ahi - alo) >= 0.0) {
+                    ahi = alo;
+                    fhi = flo;
+                    dfhi = dflo;
+                }
+                alo = a;
+                flo = fa;
+                dflo = dfa;
+            }
+            if (std::abs(ahi - alo) < 1e-16 * std::max(1.0, std::abs(alo))) break;
+        }
+        // Fall back to the best sufficient-decrease point found, if any.
+        if (flo < phi0 + kWolfeC1 * alo * dphi0 && alo > 0.0) {
+            double fa, dfa;
+            eval(alo, fa, dfa);
+            return accept(alo, fa);
+        }
+        return {};
+    };
+
+    double a_prev = 0.0, f_prev = phi0, df_prev = dphi0;
+    double a = std::min(1.0, alpha_max);
+    for (int it = 0; it < 20 && evals < max_evals; ++it) {
+        double fa, dfa;
+        eval(a, fa, dfa);
+        if (fa > phi0 + kWolfeC1 * a * dphi0 || (it > 0 && fa >= f_prev)) {
+            return zoom(a_prev, f_prev, df_prev, a, fa, dfa);
+        }
+        if (std::abs(dfa) <= -kWolfeC2 * dphi0) return accept(a, fa);
+        if (dfa >= 0.0) return zoom(a, fa, dfa, a_prev, f_prev, df_prev);
+        if (a >= alpha_max * (1.0 - 1e-12)) {
+            // Bound-limited step that still satisfies sufficient decrease.
+            return accept(a, fa);
+        }
+        a_prev = a;
+        f_prev = fa;
+        df_prev = dfa;
+        a = std::min(2.0 * a, alpha_max);
+    }
+    return {};
+}
+
+/// Max-norm of the projected gradient (the first-order stationarity measure).
+double projected_gradient_norm(const std::vector<double>& x, const std::vector<double>& g,
+                               const Bounds& bounds) {
+    double norm = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        double step = x[i] - g[i];
+        step = std::clamp(step, bounds.lower[i], bounds.upper[i]);
+        norm = std::max(norm, std::abs(step - x[i]));
+    }
+    return norm;
 }
 
 /// Tiny dense real LU solver for the 2m x 2m middle systems (m <= 10).
@@ -432,8 +562,7 @@ OptimResult LbfgsB::minimize(const Objective& objective, std::vector<double> x0,
             return res;
         }
         last_step = ls.alpha;
-        // Lock-free fixed-enum histogram: this sits on the optimizer hot
-        // loop, where the mutex-guarded hist_observe used to live.
+        // Lock-free fixed-enum histogram: this sits on the optimizer hot loop.
         obs::hist_record(obs::Hist::kLbfgsbLineSearchEvals,
                          static_cast<std::uint64_t>(res.evaluations - evals_before));
         bounds.clip(res.x);

@@ -4,9 +4,9 @@
 /// Each optimizer used to hand-roll the same three chores: build an
 /// `IterationRecord` (gated on callback/telemetry), time-stamp it, and check
 /// the `target_f` / `max_evaluations` budgets in a fixed order.  `SolverLoop`
-/// owns all three so the contracts are enforced identically for every
-/// registered solver -- a new solver cannot get the stop-reason precedence
-/// or the telemetry gating subtly wrong.
+/// owns all three so the contracts are enforced identically for L-BFGS-B,
+/// gradient descent and Nelder-Mead -- a solver cannot get the stop-reason
+/// precedence or the telemetry gating subtly wrong.
 
 #pragma once
 

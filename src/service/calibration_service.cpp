@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "control/method_registry.hpp"
 #include "device/calibration.hpp"
 #include "device/executor.hpp"
 #include "experiments/design_pipeline.hpp"
@@ -261,9 +260,10 @@ std::uint64_t CalibrationService::key_for(const DeviceState& dev, const PulseReq
     h.f64_bits(options_.amp_bound);
     h.f64_bits(options_.energy_penalty);
     h.byte(options_.use_y_control ? 1 : 0);
-    // Solver choice changes the designed pulse, so it must not alias: fold
-    // the method name (stable across enum reordering) into the key.
-    h.bytes(control::method_name(options_.method));
+    // Every design runs L-BFGS-B.  The solver name stays in the key because
+    // the v2 store schema folds it in: dropping it would re-address (and so
+    // cold-start) every persisted entry.
+    h.bytes("lbfgsb");
     h.byte(0);
     return h.digest();
 }
@@ -301,7 +301,6 @@ StoredPulse CalibrationService::design_pulse(const DeviceState& dev, const Pulse
         spec.n_timeslots = req.n_timeslots;
         spec.max_iterations = req.max_iterations;
         spec.random_seed = seed;
-        spec.method = options_.method;
         if (redesign) spec.seed = control::InitialPulseType::kRandom;
         auto designed = experiments::design_cx_gate(dev.canonical, spec);
         p.model_fid_err = designed.model_fid_err;
@@ -317,7 +316,6 @@ StoredPulse CalibrationService::design_pulse(const DeviceState& dev, const Pulse
         spec.energy_penalty = options_.energy_penalty;
         spec.random_seed = seed;
         spec.max_iterations = req.max_iterations;
-        spec.method = options_.method;
         if (redesign) spec.seed = control::InitialPulseType::kRandom;
         auto designed = experiments::design_1q_gate(dev.canonical, req.qubit, req.gate, spec);
         p.model_fid_err = designed.model_fid_err;

@@ -103,10 +103,6 @@ struct ServiceOptions {
     double amp_bound = 0.15;       ///< per-quadrature cap (GateDesignSpec)
     double energy_penalty = 0.02;
     bool use_y_control = true;
-    /// Optimizer the service's designs run (any registered method; iLQR is
-    /// closed-system only, so pair it with a *Closed design model).  Folded
-    /// into the cache key: services differing only in solver never alias.
-    control::OptimMethod method = control::OptimMethod::kLbfgsB;
     /// IRB gate-error bound a suspect entry must beat to be revalidated
     /// instead of re-designed.  +infinity revalidates unconditionally;
     /// -infinity forces every suspect entry through a re-design.  (Finite

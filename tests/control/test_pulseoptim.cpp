@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "control/crab.hpp"
+#include "obs/obs.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -102,6 +106,31 @@ TEST(PulseOptim, CrabMethodImprovesSeed) {
     s.max_evaluations = 4000;
     const auto res = pulse_optim(s);
     EXPECT_LT(res.final_fid_err, res.initial_fid_err);
+}
+
+TEST(PulseOptim, SolverDispatchesCountsGrapeAndCrabRuns) {
+    // `solver.dispatches` counts one per L-BFGS-B, gradient-descent or CRAB
+    // run (the benchmark reads it as optim.dispatches); Krotov and GOAT runs
+    // are not counted.
+    const std::pair<OptimMethod, std::uint64_t> cases[] = {
+        {OptimMethod::kLbfgsB, 1},
+        {OptimMethod::kGradientDescent, 1},
+        {OptimMethod::kCrab, 1},
+        {OptimMethod::kKrotov, 0},
+        {OptimMethod::kGoat, 0},
+    };
+    for (const auto& [method, expected] : cases) {
+        PulseOptimSpec s = x_spec();
+        s.method = method;
+        s.max_iterations = 5;
+        s.max_evaluations = 50;
+        obs::reset_for_testing();
+        obs::enable_metrics("");  // memory-only: counters without the JSONL stream
+        (void)pulse_optim(s);
+        EXPECT_EQ(obs::counter_value(obs::Cnt::kSolverDispatches), expected)
+            << "method " << static_cast<int>(method);
+        obs::reset_for_testing();
+    }
 }
 
 TEST(PulseOptim, TargetErrStopsEarly) {

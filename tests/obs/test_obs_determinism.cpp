@@ -15,6 +15,7 @@
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "rb/rb.hpp"
+#include "support/temp_path.hpp"
 
 namespace qoc {
 namespace {
@@ -24,8 +25,8 @@ class ObsOnScope {
 public:
     ObsOnScope() {
         obs::reset_for_testing();
-        trace_path_ = ::testing::TempDir() + "qoc_obs_det_trace.json";
-        metrics_path_ = ::testing::TempDir() + "qoc_obs_det_metrics.jsonl";
+        trace_path_ = testing_support::temp_path("trace.json");
+        metrics_path_ = testing_support::temp_path("metrics.jsonl");
         obs::enable_tracing(trace_path_);
         obs::enable_metrics(metrics_path_);
     }

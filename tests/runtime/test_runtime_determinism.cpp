@@ -7,9 +7,9 @@
 ///  2. Observability: the submitter's `qoc::obs` span id rides along with
 ///     every task, so trace parent links survive task boundaries (including
 ///     nested submits and parallel_for bodies).
-///  3. Full solver runs through the optim registry (many chained pooled
-///     evaluations, line searches, iLQR rollouts) stay bitwise identical at
-///     pool size 1 vs N -- the end-to-end version of contract 1.
+///  3. Full GRAPE solver runs (many chained pooled evaluations and line
+///     searches) stay bitwise identical at pool size 1 vs N -- the
+///     end-to-end version of contract 1.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "control/control_problem.hpp"
 #include "control/grape.hpp"
-#include "control/ilqr.hpp"
 #include "obs/obs.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -104,22 +103,17 @@ std::vector<double> flat_amps(const control::GrapeResult& r) {
 }
 
 TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
-    // Every registered gradient solver plus iLQR, end to end: the final
-    // iterate, objective and budget bookkeeping must not depend on the
-    // pool size by a single ULP.
+    // Both gradient solvers, end to end: the final iterate, objective and
+    // budget bookkeeping must not depend on the pool size by a single ULP.
     const control::GrapeProblem p = solver_problem();
     const control::ControlProblem cp(p, /*open_system=*/false);
 
     auto run_all = [&cp] {
         std::vector<std::vector<double>> outs;
-        for (const char* name : {"lbfgsb", "cg_descent", "gradient_descent"}) {
-            optim::SolverOptions opts;
-            opts.max_iterations = 10;
-            outs.push_back(flat_amps(control::grape_solve(cp, name, opts)));
-        }
-        control::IlqrOptions iopts;
-        iopts.max_iterations = 8;
-        outs.push_back(flat_amps(control::ilqr_optimize(cp, iopts)));
+        optim::LbfgsBOptions opts;
+        opts.max_iterations = 10;
+        outs.push_back(flat_amps(control::grape_optimize(cp, opts)));
+        outs.push_back(flat_amps(control::grape_gradient_descent(cp, 0.1, 10)));
         return outs;
     };
 

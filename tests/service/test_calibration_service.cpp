@@ -63,41 +63,13 @@ TEST(CalibrationService, MissDesignsThenHitsServeTheSameBytes) {
     EXPECT_NE(svc.request_key(0, other), svc.request_key(0, tiny_request()));
 }
 
-TEST(CalibrationService, SolverChoiceIsPartOfTheCacheKey) {
-    // Two services differing ONLY in the design optimizer must not alias:
-    // the same request addresses different entries (and a store written by
-    // one would hand the other a different key on warm restart).
-    ServiceOptions lbfgsb = tiny_service();
-    ServiceOptions cg = tiny_service();
-    cg.method = control::OptimMethod::kCgDescent;
-    ServiceOptions ilqr = tiny_service();
-    ilqr.method = control::OptimMethod::kIlqr;
-
-    CalibrationService svc_lbfgsb(lbfgsb);
-    CalibrationService svc_cg(cg);
-    CalibrationService svc_ilqr(ilqr);
-    const auto dev = device::ibmq_montreal();
-    svc_lbfgsb.register_device(0, dev);
-    svc_cg.register_device(0, dev);
-    svc_ilqr.register_device(0, dev);
-
-    const std::uint64_t k_lbfgsb = svc_lbfgsb.request_key(0, tiny_request());
-    const std::uint64_t k_cg = svc_cg.request_key(0, tiny_request());
-    const std::uint64_t k_ilqr = svc_ilqr.request_key(0, tiny_request());
-    EXPECT_NE(k_lbfgsb, k_cg);
-    EXPECT_NE(k_lbfgsb, k_ilqr);
-    EXPECT_NE(k_cg, k_ilqr);
-
-    // The alternate solvers actually design through the service path (the
-    // default design model is closed, so iLQR is admissible here).
-    const PulseResponse via_cg = svc_cg.request(0, tiny_request());
-    EXPECT_EQ(via_cg.status, ResponseStatus::kDesigned);
-    EXPECT_EQ(via_cg.key, k_cg);
-    EXPECT_FALSE(via_cg.pulse.channels.empty());
-    const PulseResponse via_ilqr = svc_ilqr.request(0, tiny_request());
-    EXPECT_EQ(via_ilqr.status, ResponseStatus::kDesigned);
-    EXPECT_EQ(via_ilqr.key, k_ilqr);
-    EXPECT_FALSE(via_ilqr.pulse.channels.empty());
+TEST(CalibrationService, RequestKeyIsPinned) {
+    // The key addresses persisted pulse stores, so it must not move: it
+    // still folds in the solver name "lbfgsb" that v2 stores were keyed
+    // with.  A change here cold-starts every existing store.
+    CalibrationService svc(tiny_service());
+    svc.register_device(0, device::ibmq_montreal());
+    EXPECT_EQ(svc.request_key(0, tiny_request()), 0xc0b6773e5be6aebbull);
 }
 
 TEST(CalibrationService, SmallDriftKeepsKeyAndEntryFresh) {

@@ -17,6 +17,7 @@
 #include "obs/obs.hpp"
 #include "runtime/task_pool.hpp"
 #include "service/fleet_driver.hpp"
+#include "support/temp_path.hpp"
 
 namespace qoc::service {
 namespace {
@@ -93,7 +94,7 @@ TEST(ServiceDeterminism, ObsOnVsOffIsBitwiseIdentical) {
         plain = run_fleet(opts);
     }
 
-    const std::string metrics_path = testing::TempDir() + "qoc_obs_onoff_metrics.jsonl";
+    const std::string metrics_path = testing_support::temp_path("metrics.jsonl");
     obs::enable_tracing("");  // in-memory span collection
     obs::enable_metrics(metrics_path);
     ASSERT_TRUE(obs::telemetry_enabled());
@@ -143,7 +144,7 @@ TEST(ServiceDeterminism, ReplayReproducesRequestIds) {
     // the same log must produce the identical id set.
     const FleetOptions opts = smoke_fleet();
     const auto ids_of = [&](const std::vector<io::RequestLogRecord>& log) {
-        const std::string path = testing::TempDir() + "qoc_obs_replay_ids.jsonl";
+        const std::string path = testing_support::temp_path("ids.jsonl");
         obs::reset_for_testing();
         obs::enable_metrics(path);
         replay_fleet(opts, log);
@@ -177,7 +178,7 @@ TEST(ServiceDeterminism, WarmRestartStoreIsByteStable) {
     FleetOptions opts = smoke_fleet();
     opts.n_days = 1;
     opts.requests_per_day = 6;
-    opts.store_path = testing::TempDir() + "qoc_fleet_store_a.jsonl";
+    opts.store_path = testing_support::temp_path("store_a.jsonl");
 
     FleetResult run;
     {
@@ -189,7 +190,7 @@ TEST(ServiceDeterminism, WarmRestartStoreIsByteStable) {
     // Load the persisted store and save it again: byte-identical files.
     PulseStore restored;
     ASSERT_EQ(restored.load_jsonl(opts.store_path), run.store_size);
-    const std::string path_b = testing::TempDir() + "qoc_fleet_store_b.jsonl";
+    const std::string path_b = testing_support::temp_path("store_b.jsonl");
     restored.save_jsonl(path_b);
     std::ifstream fa(opts.store_path), fb(path_b);
     std::stringstream sa, sb;
