@@ -3,11 +3,15 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "control/pulse_shapes.hpp"
+#include "linalg/kron.hpp"
+#include "obs/obs.hpp"
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
-#include "quantum/superop.hpp"
+#include "runtime/task_pool.hpp"
 
 namespace qoc::device {
 
@@ -30,27 +34,56 @@ double default_drag_beta(const BackendConfig& config, std::size_t qubit,
     return std::exp(-0.5) / (2.0 * sigma_ns * std::abs(alpha));
 }
 
-RabiResult rabi_calibrate(const PulseExecutor& device, std::size_t qubit,
-                          const RabiOptions& opts) {
-    const BackendConfig& cfg = device.config();
-    const double beta = default_drag_beta(cfg, qubit, opts.pulse_duration_dt);
+namespace {
 
-    RabiResult result;
-    result.sweep_amps.resize(opts.n_points);
-    result.sweep_p1.resize(opts.n_points);
+/// One Rabi sweep: which qubit, with what options.
+struct RabiJob {
+    std::size_t qubit = 0;
+    RabiOptions opts;
+};
 
-    const Mat rho0 = device.ground_state_1q();
-    for (std::size_t i = 0; i < opts.n_points; ++i) {
-        const double amp =
-            opts.max_amplitude * static_cast<double>(i + 1) / static_cast<double>(opts.n_points);
-        const auto wf = pulse::drag_waveform(opts.pulse_duration_dt, {amp, 0.0}, beta);
-        const Mat sup = device.waveform_superop_1q(wf.samples(), qubit);
-        const Mat rho = quantum::apply_superop(sup, rho0);
-        const Counts c = device.measure_1q(rho, qubit, opts.shots, opts.seed + i);
-        result.sweep_amps[i] = amp;
-        result.sweep_p1[i] = c.probability("1");
+/// Measures every point of every sweep in `jobs` as one parallel_for over
+/// all points of all jobs.  A point propagates vec(rho0) alone (a k = 1
+/// block; its amplitude never recurs, so it bypasses the propagator cache)
+/// and draws its shots from its own seed `opts.seed + i`, so the results are
+/// bitwise independent of the pool size.
+std::vector<RabiResult> rabi_sweeps(const PulseExecutor& device,
+                                    const std::vector<RabiJob>& jobs) {
+    const std::size_t d = device.config().levels;
+    std::vector<RabiResult> results(jobs.size());
+    std::vector<std::pair<std::size_t, std::size_t>> points;  // (job, sweep index)
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const RabiOptions& opts = jobs[j].opts;
+        results[j].sweep_amps.resize(opts.n_points);
+        results[j].sweep_p1.resize(opts.n_points);
+        for (std::size_t i = 0; i < opts.n_points; ++i) {
+            results[j].sweep_amps[i] = opts.max_amplitude * static_cast<double>(i + 1) /
+                                       static_cast<double>(opts.n_points);
+            points.emplace_back(j, i);
+        }
     }
+    const Mat vec_rho0 = linalg::vec(device.ground_state_1q());
+    runtime::TaskPool::global().parallel_for(0, points.size(), [&](std::size_t p) {
+        const auto [j, i] = points[p];
+        const RabiJob& job = jobs[j];
+        const double beta =
+            default_drag_beta(device.config(), job.qubit, job.opts.pulse_duration_dt);
+        const auto wf = pulse::drag_waveform(job.opts.pulse_duration_dt,
+                                             {results[j].sweep_amps[i], 0.0}, beta);
+        Mat state = vec_rho0;
+        PropagationWorkspace ws;
+        device.propagate_1q(wf.samples(), job.qubit, state, ws, PropagatorReuse::kNone);
+        const Counts c = device.measure_1q(linalg::unvec(state, d), job.qubit, job.opts.shots,
+                                           job.opts.seed + i);
+        results[j].sweep_p1[i] = c.probability("1");
+    });
+    return results;
+}
 
+/// Fits P1(amp) = A cos(2 pi f amp + phi) + B to a measured sweep and fills
+/// in the pi amplitude.
+void fit_rabi(const BackendConfig& cfg, std::size_t qubit, const RabiOptions& opts,
+              RabiResult& result) {
     // Expected oscillation frequency from the nominal model: rotation angle
     // theta(amp) = amp * Omega_max * gaussian_area, P1 = (1 - cos theta)/2.
     const double area_ns =
@@ -75,17 +108,13 @@ RabiResult rabi_calibrate(const PulseExecutor& device, std::size_t qubit,
         throw std::runtime_error("rabi_calibrate: calibration failed (pi amplitude " +
                                  std::to_string(result.pi_amplitude) + ")");
     }
-    return result;
 }
 
-namespace {
-
-/// Conditional target-rotation angle about X for a CR superoperator, with
-/// the control prepared in |c> and the target in |0>:
-/// theta = atan2(-<Y>, <Z>) of the target's reduced state.
-double conditional_angle(const Mat& superop, int control_state) {
-    const Mat rho0 = quantum::ket_to_dm(quantum::basis_ket_bits({control_state, 0}));
-    const Mat rho = quantum::apply_superop(superop, rho0);
+/// Conditional target-rotation angle about X read off column `control_state`
+/// of a propagated 16 x 2 block, whose columns start as vec(|c 0><c 0|) for
+/// c = 0, 1: theta = atan2(-<Y>, <Z>) of the target's reduced state.
+double conditional_angle(const Mat& block, std::size_t control_state) {
+    const Mat rho = linalg::unvec(block.col(control_state), 4);
     const Mat target = quantum::partial_trace(rho, 2, 2, 0);
     const auto bloch = quantum::bloch_vector(target);
     return std::atan2(-bloch.y, bloch.z);
@@ -93,19 +122,38 @@ double conditional_angle(const Mat& superop, int control_state) {
 
 }  // namespace
 
+RabiResult rabi_calibrate(const PulseExecutor& device, std::size_t qubit,
+                          const RabiOptions& opts) {
+    obs::Span span("device.rabi_calibrate");
+    RabiResult result = std::move(rabi_sweeps(device, {{qubit, opts}}).front());
+    fit_rabi(device.config(), qubit, opts, result);
+    return result;
+}
+
 pulse::InstructionScheduleMap build_default_gates(const PulseExecutor& device,
                                                   const DefaultGateOptions& opts) {
+    obs::Span span("device.build_default_gates");
     const BackendConfig& cfg = device.config();
     pulse::InstructionScheduleMap map;
 
     // --- single-qubit defaults: Rabi-calibrated DRAG x and sx ---------------
+    // The sweeps of all qubits run as one fan-out of their points.
+    std::vector<RabiJob> jobs(cfg.qubits.size());
+    for (std::size_t q = 0; q < jobs.size(); ++q) {
+        jobs[q].qubit = q;
+        jobs[q].opts.pulse_duration_dt = opts.gate_duration_dt;
+        jobs[q].opts.shots = opts.calibration_shots;
+        jobs[q].opts.seed = opts.seed + 100 * q;
+    }
+    std::vector<RabiResult> rabis;
+    {
+        obs::Span rabi_span("device.rabi_calibrate");
+        rabis = rabi_sweeps(device, jobs);
+        for (std::size_t q = 0; q < jobs.size(); ++q) fit_rabi(cfg, q, jobs[q].opts, rabis[q]);
+    }
     std::vector<double> pi_amp(cfg.qubits.size(), 0.0);
     for (std::size_t q = 0; q < cfg.qubits.size(); ++q) {
-        RabiOptions ropts;
-        ropts.pulse_duration_dt = opts.gate_duration_dt;
-        ropts.shots = opts.calibration_shots;
-        ropts.seed = opts.seed + 100 * q;
-        const RabiResult rabi = rabi_calibrate(device, q, ropts);
+        const RabiResult& rabi = rabis[q];
         pi_amp[q] = rabi.pi_amplitude;
         const double beta =
             opts.drag_beta_scale * default_drag_beta(cfg, q, opts.gate_duration_dt);
@@ -168,16 +216,32 @@ pulse::InstructionScheduleMap build_default_gates(const PulseExecutor& device,
         };
 
         // Calibrate u so the conditional-rotation difference is pi (ZX90).
-        double theta0 = 0.0, theta1 = 0.0;
-        for (int iter = 0; iter < 4; ++iter) {
-            const Mat sup = device.schedule_superop_2q(build_echo(u_amp));
-            theta0 = conditional_angle(sup, 0);
-            theta1 = conditional_angle(sup, 1);
-            double diff = theta0 - theta1;
-            // Unwrap into (0, 2 pi) -- the physical angle grows with u.
-            if (diff < 0.0) diff += 2.0 * std::numbers::pi;
-            if (std::abs(diff) < 1e-12) break;
-            u_amp = std::min(u_amp * std::numbers::pi / diff, 0.95);
+        // Only the two states conditional_angle reads are propagated: control
+        // in |0> and |1>, target in |0> (a 16 x 2 block).  The echo's X
+        // pulses recur every iteration, so they go through the cache.
+        {
+            obs::Span cx_span("device.cx_calibrate");
+            Mat start(16, 2);
+            for (std::size_t c = 0; c < 2; ++c) {
+                start.set_block(0, c, linalg::vec(quantum::ket_to_dm(quantum::basis_ket_bits(
+                                          {static_cast<int>(c), 0}))));
+            }
+            PropagationWorkspace ws;
+            Mat block;
+            for (int iter = 0; iter < 4; ++iter) {
+                const pulse::Schedule echo = build_echo(u_amp);
+                const std::size_t n_dt = echo.total_duration();
+                block = start;
+                device.propagate_2q(echo.channel_samples(pulse::drive_channel(0), n_dt),
+                                    echo.channel_samples(pulse::drive_channel(1), n_dt),
+                                    echo.channel_samples(pulse::control_channel(0), n_dt),
+                                    block, ws, PropagatorReuse::kShared);
+                double diff = conditional_angle(block, 0) - conditional_angle(block, 1);
+                // Unwrap into (0, 2 pi) -- the physical angle grows with u.
+                if (diff < 0.0) diff += 2.0 * std::numbers::pi;
+                if (std::abs(diff - std::numbers::pi) < 1e-12) break;
+                u_amp = std::min(u_amp * std::numbers::pi / diff, 0.95);
+            }
         }
 
         pulse::Schedule cx("cx_default_echo_cr");

@@ -1,5 +1,6 @@
 #include "device/executor.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -10,6 +11,7 @@
 #include "contracts/matrix_checks.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/kron.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -33,13 +35,23 @@ double dephasing_rate(double t1, double t2) {
 /// propagator cache (1q keys use the qubit index itself).
 constexpr std::uint64_t kKey2q = ~std::uint64_t{0};
 
-/// Entry cap for the propagator cache.  Real schedules carry at most a few
-/// hundred distinct amplitudes; the cap only guards pathological waveforms
-/// (past it, propagators are computed but not published, so references
-/// already handed out stay valid).
+/// Entry cap for the propagator cache.  Only replayed schedules fill it: the
+/// default x/sx/cx superops, the CX calibration's echo (whose X pulses recur
+/// every iteration) and designed pulses under IRB -- about 1,700 entries per
+/// executor on the paper tables.  The Rabi sweep, whose 12,800 amplitudes
+/// per calibration occur once each, bypasses it.  The cap only guards
+/// pathological waveforms (past it, propagators are computed but not
+/// published, so references already handed out stay valid).
 constexpr std::size_t kPropCacheMax = 8192;
 
 std::uint64_t sample_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// `y += a x` over all entries (shapes must agree).
+void axpy(Mat& y, double a, const Mat& x) {
+    cplx* yd = y.data().data();
+    const cplx* xd = x.data().data();
+    for (std::size_t i = 0, n = y.data().size(); i < n; ++i) yd[i] += a * xd[i];
+}
 }  // namespace
 
 std::size_t PulseExecutor::PropKeyHash::operator()(const PropKey& k) const {
@@ -54,102 +66,202 @@ double Counts::probability(const std::string& bitstring) const {
 
 PulseExecutor::PulseExecutor(BackendConfig config) : config_(std::move(config)) {
     if (config_.qubits.empty()) throw std::invalid_argument("PulseExecutor: no qubits");
+    const double dt = config_.dt;
+
+    // The drive-amplitude-noise dissipator of a drive H_q = x Hx + y Hy with
+    // rate eta is eta D[x Hx + y Hy] = eta (x^2 D[Hx] + y^2 D[Hy] + x y Dxy),
+    // Dxy = D[Hx + Hy] - D[Hx] - D[Hy]: quadratic in the sample.
+    auto noise_terms = [dt](std::size_t coord, double eta, const Mat& hx, const Mat& hy) {
+        AffineGenerator::Noise n;
+        n.coord = coord;
+        const Mat dx = quantum::lindblad_dissipator(hx);
+        const Mat dy = quantum::lindblad_dissipator(hy);
+        n.xy = (dt * eta) * (quantum::lindblad_dissipator(hx + hy) - dx - dy);
+        n.xx = (dt * eta) * dx;
+        n.yy = (dt * eta) * dy;
+        return n;
+    };
+
+    // Single qubit, `levels`-dim Duffing transmon:
+    //   H = alpha n(n-1)/2 + delta n + x Hx + y Hy,  s = x + i y,
+    //   Hx = c (a^dag + a),  Hy = i c (a^dag - a),  c = Omega_max amp_scale / 2.
     const std::size_t d = config_.levels;
-    drive_op_a_ = annihilation(d);
-    number_op_ = number_op(d);
-    h_drift_1q_base_ = Mat(d, d);
+    const Mat a = annihilation(d);
+    const Mat n_op = number_op(d);
+    Mat anharm(d, d);
     for (std::size_t k = 0; k < d; ++k) {
         const double n = static_cast<double>(k);
-        h_drift_1q_base_(k, k) = cplx{0.5 * n * (n - 1.0), 0.0};  // x anharmonicity later
+        anharm(k, k) = cplx{0.5 * n * (n - 1.0), 0.0};
+    }
+    for (const QubitParams& p : config_.qubits) {
+        const Mat h0 = p.anharmonicity * anharm + p.detuning * n_op;
+        std::vector<Mat> collapse{std::sqrt(1.0 / p.t1) * a};
+        const double gphi = dephasing_rate(p.t1, p.t2);
+        if (gphi > 0.0) collapse.push_back(std::sqrt(2.0 * gphi) * n_op);
+        const double c = 0.5 * p.omega_max * p.amp_scale;
+        const Mat hx = c * (a.adjoint() + a);
+        const Mat hy = (kI * c) * (a.adjoint() - a);
+
+        AffineGenerator g;
+        g.l0 = dt * quantum::liouvillian(h0, collapse);
+        g.linear = {dt * quantum::liouvillian_hamiltonian(hx),
+                    dt * quantum::liouvillian_hamiltonian(hy)};
+        if (p.drive_amp_noise > 0.0) g.noise.push_back(noise_terms(0, p.drive_amp_noise, hx, hy));
+        gen_1q_.push_back(std::move(g));
     }
 
-    // Two-qubit static parts (2-level pair model).
+    // Two-qubit pair model (2 levels each), coordinates (D0, D1, U0):
+    //   H = delta_0 n_0 + delta_1 n_1 + zz n_0 n_1
+    //     + sum_q (rate_q / 2)(x_q X_q + y_q Y_q)
+    //     + (x_u, y_u) . (zx ZX + ix IX + crosstalk XI, the same with Y) / 2.
+    // The CR drive phase rotates the target axis X -> Y (paper Eq. 3).
     if (config_.qubits.size() >= 2) {
-        const Mat n1 = quantum::op_on_qubit(Mat{{0.0, 0.0}, {0.0, 1.0}}, 0, 2);
-        const Mat n2 = quantum::op_on_qubit(Mat{{0.0, 0.0}, {0.0, 1.0}}, 1, 2);
-        h_static_2q_ = config_.qubit(0).detuning * n1 + config_.qubit(1).detuning * n2 +
-                       config_.cr.zz_static * (n1 * n2);
-        const Mat sm = quantum::sigma_minus();
-        collapse_2q_.clear();
+        using quantum::op_on_qubit;
+        using quantum::sigma_x;
+        using quantum::sigma_y;
+        using quantum::sigma_z;
+        const Mat n_q = Mat{{0.0, 0.0}, {0.0, 1.0}};
+        const Mat n0 = op_on_qubit(n_q, 0, 2);
+        const Mat n1 = op_on_qubit(n_q, 1, 2);
+        const Mat h_static = config_.qubit(0).detuning * n0 + config_.qubit(1).detuning * n1 +
+                             config_.cr.zz_static * (n0 * n1);
+        std::vector<Mat> collapse;
         for (std::size_t q = 0; q < 2; ++q) {
             const auto& p = config_.qubit(q);
-            collapse_2q_.push_back(std::sqrt(1.0 / p.t1) *
-                                   quantum::op_on_qubit(sm, q, 2));
+            collapse.push_back(std::sqrt(1.0 / p.t1) * op_on_qubit(quantum::sigma_minus(), q, 2));
             const double gphi = dephasing_rate(p.t1, p.t2);
-            if (gphi > 0.0) {
-                collapse_2q_.push_back(std::sqrt(2.0 * gphi) *
-                                       quantum::op_on_qubit(Mat{{0.0, 0.0}, {0.0, 1.0}}, q, 2));
+            if (gphi > 0.0) collapse.push_back(std::sqrt(2.0 * gphi) * op_on_qubit(n_q, q, 2));
+        }
+        gen_2q_.l0 = dt * quantum::liouvillian(h_static, collapse);
+        for (std::size_t q = 0; q < 2; ++q) {
+            const auto& p = config_.qubit(q);
+            const double half_rate = 0.5 * p.omega_max * p.amp_scale;
+            const Mat hx = half_rate * op_on_qubit(sigma_x(), q, 2);
+            const Mat hy = half_rate * op_on_qubit(sigma_y(), q, 2);
+            gen_2q_.linear.push_back(dt * quantum::liouvillian_hamiltonian(hx));
+            gen_2q_.linear.push_back(dt * quantum::liouvillian_hamiltonian(hy));
+            if (p.drive_amp_noise > 0.0) {
+                gen_2q_.noise.push_back(noise_terms(2 * q, p.drive_amp_noise, hx, hy));
             }
         }
-    }
-}
-
-Mat PulseExecutor::lindblad_generator_1q(std::complex<double> sample, std::size_t qubit) const {
-    const auto& p = config_.qubit(qubit);
-    const std::size_t d = config_.levels;
-    Mat h = p.anharmonicity * h_drift_1q_base_ + p.detuning * number_op_;
-    const cplx amp = 0.5 * p.omega_max * p.amp_scale * sample;
-    // H_drive = (Omega/2)(s a^dag + s* a)
-    Mat h_drive(d, d);
-    for (std::size_t n = 1; n < d; ++n) {
-        const double ladder = std::sqrt(static_cast<double>(n));
-        h_drive(n, n - 1) = amp * ladder;
-        h_drive(n - 1, n) = std::conj(amp) * ladder;
-    }
-    h += h_drive;
-    std::vector<Mat> collapse;
-    collapse.push_back(std::sqrt(1.0 / p.t1) * drive_op_a_);
-    const double gphi = dephasing_rate(p.t1, p.t2);
-    if (gphi > 0.0) collapse.push_back(std::sqrt(2.0 * gphi) * number_op_);
-    // Multiplicative drive-amplitude noise: dephasing along the drive axis
-    // with rate proportional to the instantaneous drive power.
-    if (p.drive_amp_noise > 0.0 && sample != std::complex<double>{0.0, 0.0}) {
-        collapse.push_back(std::sqrt(p.drive_amp_noise) * h_drive);
-    }
-    return quantum::liouvillian(h, collapse);
-}
-
-const Mat& PulseExecutor::sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
-                                               Mat& scratch, linalg::ExpmWorkspace& ws) const {
-    const PropKey key{{static_cast<std::uint64_t>(qubit), sample_bits(sample.real()),
-                       sample_bits(sample.imag()), 0, 0, 0, 0}};
-    {
-        std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-        const auto it = prop_cache_.find(key);
-        if (it != prop_cache_.end()) {
-            obs::count(obs::Cnt::kPropCacheHits);
-            return it->second;
+        const auto& cr = config_.cr;
+        for (const Mat& axis : {sigma_x(), sigma_y()}) {
+            const Mat hu = (0.5 * cr.zx_rate) * linalg::kron(sigma_z(), axis) +
+                           (0.5 * cr.ix_rate) * op_on_qubit(axis, 1, 2) +
+                           (0.5 * cr.classical_crosstalk) * op_on_qubit(axis, 0, 2);
+            gen_2q_.linear.push_back(dt * quantum::liouvillian_hamiltonian(hu));
         }
     }
-    obs::count(obs::Cnt::kPropCacheMisses);
+}
+
+void PulseExecutor::AffineGenerator::evaluate_into(const std::array<double, 6>& x,
+                                                   Mat& out) const {
+    out = l0;  // copy-assign: no allocation on shape reuse
+    for (std::size_t k = 0; k < linear.size(); ++k) {
+        if (x[k] != 0.0) axpy(out, x[k], linear[k]);
+    }
+    for (const Noise& n : noise) {
+        const double xq = x[n.coord], yq = x[n.coord + 1];
+        if (xq != 0.0) axpy(out, xq * xq, n.xx);
+        if (yq != 0.0) axpy(out, yq * yq, n.yy);
+        if (xq != 0.0 && yq != 0.0) axpy(out, xq * yq, n.xy);
+    }
+}
+
+Mat PulseExecutor::sample_generator_1q(std::complex<double> sample, std::size_t qubit) const {
+    Mat out;
+    gen_1q_.at(qubit).evaluate_into({sample.real(), sample.imag(), 0.0, 0.0, 0.0, 0.0}, out);
+    return out;
+}
+
+Mat PulseExecutor::sample_generator_2q(std::complex<double> d0, std::complex<double> d1,
+                                       std::complex<double> u0) const {
+    if (gen_2q_.linear.empty()) throw std::logic_error("sample_generator_2q: single-qubit device");
+    Mat out;
+    gen_2q_.evaluate_into({d0.real(), d0.imag(), d1.real(), d1.imag(), u0.real(), u0.imag()},
+                          out);
+    return out;
+}
+
+const Mat& PulseExecutor::sample_propagator(const AffineGenerator& gen, std::uint64_t tag,
+                                            const std::array<double, 6>& x,
+                                            PropagationWorkspace& ws,
+                                            PropagatorReuse reuse) const {
+    const bool shared = reuse == PropagatorReuse::kShared;
+    const PropKey key{{tag, sample_bits(x[0]), sample_bits(x[1]), sample_bits(x[2]),
+                       sample_bits(x[3]), sample_bits(x[4]), sample_bits(x[5])}};
+    if (shared) {
+        {
+            std::lock_guard<std::mutex> lock(prop_cache_mutex_);
+            const auto it = prop_cache_.find(key);
+            if (it != prop_cache_.end()) {
+                obs::count(obs::Cnt::kPropCacheHits);
+                return it->second;
+            }
+        }
+        obs::count(obs::Cnt::kPropCacheMisses);
+    }
     // Liouvillian: non-Hermitian, pin Pade.  Computed outside the lock; two
     // threads racing on the same key produce bitwise-identical matrices, so
     // whichever insert wins is indistinguishable.
-    linalg::expm_into(config_.dt * lindblad_generator_1q(sample, qubit), scratch, ws,
-                      linalg::ExpmMethod::kPade);
+    gen.evaluate_into(x, ws.gen);
+    ws.expm.use_simd_kernels = true;
+    linalg::expm_into(ws.gen, ws.prop, ws.expm, linalg::ExpmMethod::kPade);
+    if (!shared) return ws.prop;
     std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-    if (prop_cache_.size() >= kPropCacheMax) return scratch;
-    const Mat& inserted = prop_cache_.try_emplace(key, scratch).first->second;
+    if (prop_cache_.size() >= kPropCacheMax) return ws.prop;
+    const Mat& inserted = prop_cache_.try_emplace(key, ws.prop).first->second;
     obs::set_gauge("executor.prop_cache.entries", static_cast<double>(prop_cache_.size()));
     return inserted;
 }
 
+void PulseExecutor::propagate(const AffineGenerator& gen, std::uint64_t tag,
+                              std::span<const std::vector<std::complex<double>>* const> streams,
+                              Mat& block, PropagationWorkspace& ws,
+                              PropagatorReuse reuse) const {
+    std::size_t n = 0;
+    for (const auto* s : streams) n = std::max(n, s->size());
+    std::array<double, 6> x{}, prev{};
+    const Mat* prop = nullptr;
+    for (std::size_t t = 0; t < n; ++t) {
+        for (std::size_t c = 0; c < streams.size(); ++c) {
+            const auto& s = *streams[c];
+            const cplx v = t < s.size() ? s[t] : cplx{};
+            x[2 * c] = v.real();
+            x[2 * c + 1] = v.imag();
+        }
+        // Flat-top and piecewise-constant stretches repeat a sample: reuse
+        // the propagator without a lookup.
+        if (prop == nullptr || x != prev) {
+            prop = &sample_propagator(gen, tag, x, ws, reuse);
+            prev = x;
+        }
+        linalg::simd::gemm_into(*prop, block, ws.next);
+        std::swap(block, ws.next);
+    }
+}
+
+void PulseExecutor::propagate_1q(const std::vector<std::complex<double>>& samples,
+                                 std::size_t qubit, Mat& block, PropagationWorkspace& ws,
+                                 PropagatorReuse reuse) const {
+    const std::vector<std::complex<double>>* streams[] = {&samples};
+    propagate(gen_1q_.at(qubit), static_cast<std::uint64_t>(qubit), streams, block, ws, reuse);
+}
+
+void PulseExecutor::propagate_2q(const std::vector<std::complex<double>>& d0,
+                                 const std::vector<std::complex<double>>& d1,
+                                 const std::vector<std::complex<double>>& u0, Mat& block,
+                                 PropagationWorkspace& ws, PropagatorReuse reuse) const {
+    if (gen_2q_.linear.empty()) throw std::logic_error("propagate_2q: single-qubit device");
+    const std::vector<std::complex<double>>* streams[] = {&d0, &d1, &u0};
+    propagate(gen_2q_, kKey2q, streams, block, ws, reuse);
+}
+
 Mat PulseExecutor::waveform_superop_1q(const std::vector<std::complex<double>>& samples,
                                        std::size_t qubit) const {
-    const std::size_t d2 = config_.levels * config_.levels;
-    Mat total = Mat::identity(d2);
-    Mat scratch, tmp;
-    linalg::ExpmWorkspace ws;
-    const Mat* prop = nullptr;
-    std::complex<double> cached_sample{1e300, 1e300};  // sentinel: no cache yet
-    for (const auto& s : samples) {
-        if (prop == nullptr || s != cached_sample) {
-            prop = &sample_propagator_1q(s, qubit, scratch, ws);
-            cached_sample = s;
-        }
-        linalg::gemm_into(*prop, total, tmp);
-        std::swap(total, tmp);
-    }
+    Mat total = Mat::identity(config_.levels * config_.levels);
+    PropagationWorkspace ws;
+    propagate_1q(samples, qubit, total, ws, PropagatorReuse::kShared);
     return total;
 }
 
@@ -185,8 +297,7 @@ Mat PulseExecutor::schedule_superop_1q(const pulse::Schedule& sched, std::size_t
 }
 
 Mat PulseExecutor::idle_superop_1q(std::size_t duration_dt, std::size_t qubit) const {
-    const Mat gen = lindblad_generator_1q({0.0, 0.0}, qubit);
-    return linalg::expm((config_.dt * static_cast<double>(duration_dt)) * gen);
+    return linalg::expm(static_cast<double>(duration_dt) * sample_generator_1q({}, qubit));
 }
 
 Mat PulseExecutor::rz_superop_1q(double theta) const {
@@ -198,89 +309,12 @@ Mat PulseExecutor::rz_superop_1q(double theta) const {
     return quantum::unitary_superop(u);
 }
 
-Mat PulseExecutor::lindblad_generator_2q(std::complex<double> d0, std::complex<double> d1,
-                                         std::complex<double> u0) const {
-    using quantum::op_on_qubit;
-    using quantum::sigma_x;
-    using quantum::sigma_y;
-    using quantum::sigma_z;
-    Mat h = h_static_2q_;
-
-    std::vector<Mat> collapse = collapse_2q_;
-    auto add_drive = [&](std::complex<double> s, std::size_t q) {
-        const auto& p = config_.qubit(q);
-        const double rate = p.omega_max * p.amp_scale;
-        if (s == std::complex<double>{0.0, 0.0} || rate == 0.0) return;
-        const Mat h_drive = (0.5 * rate * s.real()) * op_on_qubit(sigma_x(), q, 2) +
-                            (0.5 * rate * s.imag()) * op_on_qubit(sigma_y(), q, 2);
-        h += h_drive;
-        if (p.drive_amp_noise > 0.0) {
-            collapse.push_back(std::sqrt(p.drive_amp_noise) * h_drive);
-        }
-    };
-    add_drive(d0, 0);
-    add_drive(d1, 1);
-
-    if (u0 != std::complex<double>{0.0, 0.0}) {
-        // Cross-resonance drive (paper Eq. 3): ZX + IX on the target plus
-        // classical crosstalk on the control.  The drive phase rotates the
-        // target axis X -> Y.
-        const Mat zx_part = linalg::kron(sigma_z(), sigma_x());
-        const Mat zy_part = linalg::kron(sigma_z(), sigma_y());
-        h += (0.5 * config_.cr.zx_rate) * (u0.real() * zx_part + u0.imag() * zy_part);
-        h += (0.5 * config_.cr.ix_rate) *
-             (u0.real() * op_on_qubit(sigma_x(), 1, 2) + u0.imag() * op_on_qubit(sigma_y(), 1, 2));
-        h += (0.5 * config_.cr.classical_crosstalk) *
-             (u0.real() * op_on_qubit(sigma_x(), 0, 2) + u0.imag() * op_on_qubit(sigma_y(), 0, 2));
-    }
-    return quantum::liouvillian(h, collapse);
-}
-
-const Mat& PulseExecutor::sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
-                                               std::complex<double> u0, Mat& scratch,
-                                               linalg::ExpmWorkspace& ws) const {
-    const PropKey key{{kKey2q, sample_bits(d0.real()), sample_bits(d0.imag()),
-                       sample_bits(d1.real()), sample_bits(d1.imag()), sample_bits(u0.real()),
-                       sample_bits(u0.imag())}};
-    {
-        std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-        const auto it = prop_cache_.find(key);
-        if (it != prop_cache_.end()) {
-            obs::count(obs::Cnt::kPropCacheHits);
-            return it->second;
-        }
-    }
-    obs::count(obs::Cnt::kPropCacheMisses);
-    linalg::expm_into(config_.dt * lindblad_generator_2q(d0, d1, u0), scratch, ws,
-                      linalg::ExpmMethod::kPade);
-    std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-    if (prop_cache_.size() >= kPropCacheMax) return scratch;
-    const Mat& inserted = prop_cache_.try_emplace(key, scratch).first->second;
-    obs::set_gauge("executor.prop_cache.entries", static_cast<double>(prop_cache_.size()));
-    return inserted;
-}
-
 Mat PulseExecutor::layer_superop_2q(const std::vector<std::complex<double>>& d0,
                                     const std::vector<std::complex<double>>& d1,
                                     const std::vector<std::complex<double>>& u0) const {
-    const std::size_t n = std::max({d0.size(), d1.size(), u0.size()});
     Mat total = Mat::identity(16);
-    Mat scratch, tmp;
-    linalg::ExpmWorkspace ws;
-    const Mat* prop = nullptr;
-    std::array<std::complex<double>, 3> cached_key{{{1e300, 0}, {0, 0}, {0, 0}}};
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::complex<double> s0 = k < d0.size() ? d0[k] : std::complex<double>{};
-        const std::complex<double> s1 = k < d1.size() ? d1[k] : std::complex<double>{};
-        const std::complex<double> su = k < u0.size() ? u0[k] : std::complex<double>{};
-        const std::array<std::complex<double>, 3> key{{s0, s1, su}};
-        if (prop == nullptr || key != cached_key) {
-            prop = &sample_propagator_2q(s0, s1, su, scratch, ws);
-            cached_key = key;
-        }
-        linalg::gemm_into(*prop, total, tmp);
-        std::swap(total, tmp);
-    }
+    PropagationWorkspace ws;
+    propagate_2q(d0, d1, u0, total, ws, PropagatorReuse::kShared);
     return total;
 }
 
@@ -300,8 +334,7 @@ Mat PulseExecutor::schedule_superop_2q(const pulse::Schedule& sched) const {
 }
 
 Mat PulseExecutor::idle_superop_2q(std::size_t duration_dt) const {
-    const Mat gen = lindblad_generator_2q({}, {}, {});
-    return linalg::expm((config_.dt * static_cast<double>(duration_dt)) * gen);
+    return linalg::expm(static_cast<double>(duration_dt) * sample_generator_2q({}, {}, {}));
 }
 
 Mat PulseExecutor::rz_superop_2q(double theta, std::size_t qubit) const {

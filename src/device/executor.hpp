@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +42,23 @@ struct Counts {
 
     /// Probability of a bitstring (0 when absent).
     double probability(const std::string& bitstring) const;
+};
+
+/// Per-thread scratch of the executor's sample-propagation loop.  Reusing one
+/// across streams of the same shape keeps the loop allocation-free after the
+/// first stream; one workspace must not be shared between threads.
+struct PropagationWorkspace {
+    Mat gen;                      ///< dt * L(s) of the current sample
+    Mat prop;                     ///< its propagator e^{dt L(s)}
+    Mat next;                     ///< product buffer, swapped with the block
+    linalg::ExpmWorkspace expm;
+};
+
+/// Whether a stream's per-sample propagators go through the executor's shared
+/// amplitude cache.
+enum class PropagatorReuse {
+    kShared,  ///< look up and publish: gate schedules replay their amplitudes
+    kNone,    ///< compute every one: sweep points whose amplitudes occur once
 };
 
 class PulseExecutor {
@@ -79,6 +97,30 @@ public:
     /// Virtual Z on one qubit of the pair.
     Mat rz_superop_2q(double theta, std::size_t qubit) const;
 
+    /// The executor's one propagation loop.  Advances a `levels^2 x k` block
+    /// through the sample stream on `qubit`'s drive channel in place:
+    /// block <- P(s_n) ... P(s_1) block, with P(s) = e^{dt L(s)}.  The columns
+    /// are k vectorized (column-stacking) density matrices, or the identity
+    /// when building a superoperator.
+    void propagate_1q(const std::vector<std::complex<double>>& samples, std::size_t qubit,
+                      Mat& block, PropagationWorkspace& ws, PropagatorReuse reuse) const;
+
+    /// Pair analogue of `propagate_1q` on a 16 x k block, for simultaneous
+    /// streams on D0, D1 and U0 (zero-padded to a common length).
+    void propagate_2q(const std::vector<std::complex<double>>& d0,
+                      const std::vector<std::complex<double>>& d1,
+                      const std::vector<std::complex<double>>& u0, Mat& block,
+                      PropagationWorkspace& ws, PropagatorReuse reuse) const;
+
+    /// dt * L(s): the Lindblad generator of one sample period with drive
+    /// sample `sample` on `qubit`, evaluated from the affine form built at
+    /// construction (see `AffineGenerator`).
+    Mat sample_generator_1q(std::complex<double> sample, std::size_t qubit) const;
+
+    /// dt * L(d0, d1, u0) of the pair.
+    Mat sample_generator_2q(std::complex<double> d0, std::complex<double> d1,
+                            std::complex<double> u0) const;
+
     /// Readout of a 1-qubit (levels-dim) density matrix: collapses the
     /// populations to {0, 1} (level >= 2 reads as 1), applies the confusion
     /// matrix, samples `shots` outcomes.
@@ -105,13 +147,29 @@ public:
     Mat ground_state_2q() const;
 
 private:
-    Mat lindblad_generator_1q(std::complex<double> sample, std::size_t qubit) const;
-    Mat lindblad_generator_2q(std::complex<double> d0, std::complex<double> d1,
-                              std::complex<double> u0) const;
+    /// dt * L as a function of the real drive coordinates x_k (Re and Im of
+    /// each channel's sample: 2 for a qubit, 6 for the pair's D0, D1, U0):
+    ///   dt L = L0 + sum_k x_k L_k
+    ///        + sum_q (x_q^2 Lxx_q + y_q^2 Lyy_q + x_q y_q Lxy_q).
+    /// The last sum is the drive-amplitude-noise dissipator of each driven
+    /// qubit q, quadratic in its sample (x_q, y_q); its rate and dt are
+    /// folded into the three matrices.  Built once per executor, so a sample
+    /// costs a handful of axpys instead of a Liouvillian rebuild.
+    struct AffineGenerator {
+        struct Noise {
+            std::size_t coord = 0;  ///< index of x_q; y_q is coord + 1
+            Mat xx, yy, xy;
+        };
+        Mat l0;
+        std::vector<Mat> linear;  ///< L_k, one per coordinate
+        std::vector<Noise> noise;
+
+        void evaluate_into(const std::array<double, 6>& x, Mat& out) const;
+    };
 
     /// Cache key for an amplitude -> single-sample propagator entry: a tag
     /// (1q qubit index, or kKey2q) plus the raw bit patterns of the drive
-    /// samples.  Exact bit equality keeps cached propagators bitwise
+    /// coordinates.  Exact bit equality keeps cached propagators bitwise
     /// identical to recomputation.
     struct PropKey {
         std::array<std::uint64_t, 7> w;
@@ -121,33 +179,32 @@ private:
         std::size_t operator()(const PropKey& k) const;
     };
 
-    /// Returns the single-dt propagator for `sample` on `qubit`, from the
-    /// shared cache when present; otherwise computes it into `scratch` and
-    /// publishes it.  The returned reference stays valid for the lifetime of
-    /// the executor (entries are never erased).
-    const Mat& sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
-                                    Mat& scratch, linalg::ExpmWorkspace& ws) const;
-    /// Two-qubit analogue for a (d0, d1, u0) sample triple.
-    const Mat& sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
-                                    std::complex<double> u0, Mat& scratch,
-                                    linalg::ExpmWorkspace& ws) const;
+    /// The loop behind `propagate_1q/2q`: `streams` are the channels whose
+    /// samples give coordinates (x_0, x_1), (x_2, x_3), ... of `gen`.
+    void propagate(const AffineGenerator& gen, std::uint64_t tag,
+                   std::span<const std::vector<std::complex<double>>* const> streams,
+                   Mat& block, PropagationWorkspace& ws, PropagatorReuse reuse) const;
+
+    /// Single-dt propagator at coordinates `x`.  With kShared it comes from
+    /// the cache when present, else it is computed into `ws.prop` and
+    /// published; the returned reference then stays valid for the lifetime
+    /// of the executor (entries are never erased).  With kNone it is
+    /// `ws.prop`.
+    const Mat& sample_propagator(const AffineGenerator& gen, std::uint64_t tag,
+                                 const std::array<double, 6>& x, PropagationWorkspace& ws,
+                                 PropagatorReuse reuse) const;
 
     Counts measure_2q_populations(const std::array<double, 4>& true_p, int shots,
                                   std::uint64_t seed) const;
 
     BackendConfig config_;
+    std::vector<AffineGenerator> gen_1q_;  ///< one per qubit
+    AffineGenerator gen_2q_;               ///< the (0, 1) pair; empty below 2 qubits
     // Amplitude -> propagator cache shared across schedule builds: x/sx/cx
-    // schedules replay the same flat-top and Gaussian sample values, so the
-    // per-sample expm is paid once per distinct amplitude per executor.
+    // schedules replay the same sample values, so the per-sample expm is
+    // paid once per distinct amplitude per executor.
     mutable std::unordered_map<PropKey, Mat, PropKeyHash> prop_cache_;
     mutable std::mutex prop_cache_mutex_;
-    // Cached operator blocks (built once per executor).
-    Mat h_drift_1q_base_;       // anharmonic part without detuning (per qubit added later)
-    Mat drive_op_a_;            // annihilation (levels)
-    Mat number_op_;
-    std::vector<Mat> collapse_template_1q_;
-    Mat h_static_2q_;           // detunings + ZZ
-    std::vector<Mat> collapse_2q_;
 };
 
 /// Runs a single-qubit circuit on the executor: lowers gates to superops

@@ -59,7 +59,8 @@ public:
     /// fma-contracted kernels round differently from the legacy `gemm_into`
     /// arithmetic that pins every historical golden trajectory, so only the
     /// open-system evaluator (whose structured path carries its own 1e-12
-    /// agreement budget) switches this on.  The spectral path ignores it.
+    /// agreement budget) and the device executor's propagation loop switch
+    /// this on.  The spectral path ignores it.
     bool use_simd_kernels = false;
 
     // shared Pade intermediates (one set per A, reused across directions)

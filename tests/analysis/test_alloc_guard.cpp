@@ -21,14 +21,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
 #include <cstdint>
 #include <vector>
 
 #include "contracts/contracts.hpp"
 #include "control/grape.hpp"
 #include "device/calibration.hpp"
+#include "device/executor.hpp"
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
+#include "pulse/waveform.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
@@ -218,6 +221,49 @@ TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {
             std::swap(v, w);  // buffer ping-pong, allocation-free
         }
     }
+    EXPECT_EQ(m.delta(), 0u);
+}
+
+TEST_F(AllocGuardTest, ExecutorPropagationLoopAllocationFreeAfterWarmup) {
+    // The executor's per-sample loop as the Rabi sweep (a 9 x 1 state) and
+    // the CX calibration (a 16 x 2 block) drive it: generator axpys,
+    // SIMD expm and one block product per sample.  After one stream has
+    // sized the workspace it must allocate NOTHING, whatever the amplitudes.
+    const device::PulseExecutor exec{device::ibmq_montreal()};
+    const double beta = device::default_drag_beta(exec.config(), 0, 160);
+    auto drag = [beta](double amp) {
+        return pulse::drag_waveform(160, {amp, 0.0}, beta).samples();
+    };
+    // Warm up at the sweep's largest amplitude: it reaches the highest Pade
+    // order the sweep needs.
+    const auto warm = drag(0.4);
+    const std::vector<std::vector<std::complex<double>>> sweep = {drag(0.05), drag(0.2),
+                                                                  drag(0.35)};
+    const Mat start_1q = linalg::vec(exec.ground_state_1q());
+    Mat state = start_1q;
+    device::PropagationWorkspace ws_1q;
+    exec.propagate_1q(warm, 0, state, ws_1q, device::PropagatorReuse::kNone);
+
+    auto cr = [](double u) {
+        return pulse::gaussian_square_waveform(400, {u, 0.0}, 0.7).samples();
+    };
+    const std::vector<std::complex<double>> idle(400, {0.0, 0.0});
+    const auto cr_warm = cr(0.9);
+    const auto cr_run = cr(0.6);
+    Mat start_2q(16, 2);
+    start_2q(0, 0) = 1.0;   // vec(|00><00|)
+    start_2q(10, 1) = 1.0;  // vec(|10><10|)
+    Mat block = start_2q;
+    device::PropagationWorkspace ws_2q;
+    exec.propagate_2q(idle, idle, cr_warm, block, ws_2q, device::PropagatorReuse::kNone);
+
+    AllocMeter m;
+    for (const auto& samples : sweep) {
+        state = start_1q;  // copy-assign into the same shape
+        exec.propagate_1q(samples, 0, state, ws_1q, device::PropagatorReuse::kNone);
+    }
+    block = start_2q;
+    exec.propagate_2q(idle, idle, cr_run, block, ws_2q, device::PropagatorReuse::kNone);
     EXPECT_EQ(m.delta(), 0u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <variant>
 
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
@@ -89,6 +90,37 @@ TEST(DefaultGates, DragBetaPositiveForNegativeAnharmonicity) {
     EXPECT_LT(beta, 0.2);
     // Shorter pulses need proportionally larger beta.
     EXPECT_GT(default_drag_beta(cfg, 0, 80), beta);
+}
+
+/// Conditional target rotation about X of a pair superop, control prepared
+/// in |c> and target in |0>: atan2(-<Y>, <Z>) of the target's reduced state.
+double conditional_angle(const Mat& superop, int control_state) {
+    const Mat rho0 = quantum::ket_to_dm(quantum::basis_ket_bits({control_state, 0}));
+    const Mat target = quantum::partial_trace(quantum::apply_superop(superop, rho0), 2, 2, 0);
+    const auto bloch = quantum::bloch_vector(target);
+    return std::atan2(-bloch.y, bloch.z);
+}
+
+TEST(DefaultGates, CxEchoIsCalibratedToZx90) {
+    // The default CX is local pre-rotations (the first gate_duration_dt)
+    // followed by the calibrated CR echo; the echo's conditional rotations
+    // must differ by pi to within the calibration loop's convergence.
+    const DefaultGateOptions opts;
+    for (const BackendConfig& cfg : {ibmq_montreal(), ibmq_toronto()}) {
+        PulseExecutor exec(cfg);
+        const pulse::Schedule cx = build_default_gates(exec, opts).get("cx", {0, 1});
+        pulse::Schedule echo("cr_echo");
+        for (const auto& [t, inst] : cx.instructions()) {
+            if (t >= opts.gate_duration_dt && std::holds_alternative<pulse::Play>(inst)) {
+                echo.insert(t - opts.gate_duration_dt, inst);
+            }
+        }
+        ASSERT_EQ(echo.total_duration(), opts.cx_duration_dt + 2 * opts.gate_duration_dt);
+        const Mat sup = exec.schedule_superop_2q(echo);
+        double diff = conditional_angle(sup, 0) - conditional_angle(sup, 1);
+        if (diff < 0.0) diff += 2.0 * M_PI;
+        EXPECT_LT(std::abs(diff - M_PI), 1e-9) << cfg.name;
+    }
 }
 
 TEST(DefaultGates, DefaultDurationMatchesIbm) {

@@ -9,7 +9,8 @@
 ///     nested submits and parallel_for bodies).
 ///  3. Full GRAPE solver runs (many chained pooled evaluations and line
 ///     searches) stay bitwise identical at pool size 1 vs N -- the
-///     end-to-end version of contract 1.
+///     end-to-end version of contract 1.  So do the device calibration's
+///     pooled Rabi sweeps and the default gates built from them.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 
 #include "control/control_problem.hpp"
 #include "control/grape.hpp"
+#include "device/calibration.hpp"
 #include "obs/obs.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -130,6 +132,46 @@ TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
             }
         }
     }
+}
+
+/// Rabi sweeps and the default-gate build fan their sweep points out over the
+/// pool; every point has its own shot seed, so the measured P(1), the fitted
+/// pi amplitude and the calibrated schedules must not depend on the pool size.
+std::vector<double> device_calibration(const device::BackendConfig& cfg) {
+    const device::PulseExecutor exec(cfg);
+    std::vector<double> out;
+    for (std::size_t q = 0; q < 2; ++q) {
+        const device::RabiResult rabi = device::rabi_calibrate(exec, q);
+        out.insert(out.end(), rabi.sweep_p1.begin(), rabi.sweep_p1.end());
+        out.push_back(rabi.pi_amplitude);
+    }
+    const pulse::InstructionScheduleMap map = device::build_default_gates(exec);
+    auto append_samples = [&out](const pulse::Schedule& sched, const pulse::Channel& ch) {
+        for (const auto& s : sched.channel_samples(ch, sched.total_duration())) {
+            out.push_back(s.real());
+            out.push_back(s.imag());
+        }
+    };
+    for (std::size_t q = 0; q < 2; ++q) {
+        append_samples(map.get("x", {q}), pulse::drive_channel(q));
+        append_samples(map.get("sx", {q}), pulse::drive_channel(q));
+    }
+    const pulse::Schedule& cx = map.get("cx", {0, 1});
+    for (const auto& ch :
+         {pulse::drive_channel(0), pulse::drive_channel(1), pulse::control_channel(0)}) {
+        append_samples(cx, ch);
+    }
+    return out;
+}
+
+TEST(RuntimeDeterminism, DeviceCalibrationBitwiseAcrossPoolSizes) {
+    const device::BackendConfig cfg = device::ibmq_montreal();
+    ScopedPoolSize serial(1);
+    const auto ref = device_calibration(cfg);
+    ScopedPoolSize scoped(4);
+    const auto got = device_calibration(cfg);
+    ASSERT_EQ(ref.size(), got.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]) << "i=" << i;
 }
 
 TEST(RuntimeDeterminism, SpanParentPropagatesAcrossTaskBoundaries) {
