@@ -102,34 +102,13 @@ void BM_ExpmFrechetMulti(benchmark::State& state) {
     linalg::Mat ea;
     std::vector<linalg::Mat> ls(m);
     for (auto _ : state) {
-        linalg::expm_frechet_multi(a, dirs.data(), m, ea, ls.data(), ws,
-                                   linalg::ExpmMethod::kPade);
+        linalg::expm_frechet_multi(a, dirs.data(), m, ea, ls.data(), ws);
         benchmark::DoNotOptimize(ea);
         benchmark::DoNotOptimize(ls);
     }
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
 }
 BENCHMARK(BM_ExpmFrechetMulti)
-    ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
-
-/// Spectral (Daleckii-Krein) path on the same anti-Hermitian inputs.
-void BM_ExpmFrechetMultiSpectral(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto m = static_cast<std::size_t>(state.range(1));
-    const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
-    const auto dirs = frechet_directions(n, m);
-    linalg::ExpmWorkspace ws;
-    linalg::Mat ea;
-    std::vector<linalg::Mat> ls(m);
-    for (auto _ : state) {
-        linalg::expm_frechet_multi(a, dirs.data(), m, ea, ls.data(), ws,
-                                   linalg::ExpmMethod::kSpectral);
-        benchmark::DoNotOptimize(ea);
-        benchmark::DoNotOptimize(ls);
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_ExpmFrechetMultiSpectral)
     ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
 
 void BM_GrapeObjectiveClosed(benchmark::State& state) {

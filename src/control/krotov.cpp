@@ -39,10 +39,7 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const KrotovOptions& opts) 
 
     // One workspace threads through every exponential below: Krotov's
     // sequential sweeps exponentiate n_ts same-size generators per
-    // iteration, and the shared scratch makes each one allocation-free
-    // (kAuto dispatches Hermitian-generator problems to the exact spectral
-    // path -- deliberately NOT the evaluator's Pade pin, which exists for
-    // GRAPE's gradient-feedback loop only).
+    // iteration, and the shared scratch makes each one allocation-free.
     linalg::ExpmWorkspace ws;
     Mat gen, prop_buf, tmp;
     auto slot_propagator_into = [&](const std::vector<double>& amps, Mat& out) {

@@ -11,7 +11,6 @@
 #include "contracts/matrix_checks.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/kron.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -201,12 +200,11 @@ const Mat& PulseExecutor::sample_propagator(const AffineGenerator& gen, std::uin
         }
         obs::count(obs::Cnt::kPropCacheMisses);
     }
-    // Liouvillian: non-Hermitian, pin Pade.  Computed outside the lock; two
-    // threads racing on the same key produce bitwise-identical matrices, so
-    // whichever insert wins is indistinguishable.
+    // Computed outside the lock; two threads racing on the same key produce
+    // bitwise-identical matrices, so whichever insert wins is
+    // indistinguishable.
     gen.evaluate_into(x, ws.gen);
-    ws.expm.use_simd_kernels = true;
-    linalg::expm_into(ws.gen, ws.prop, ws.expm, linalg::ExpmMethod::kPade);
+    linalg::expm_into(ws.gen, ws.prop, ws.expm);
     if (!shared) return ws.prop;
     std::lock_guard<std::mutex> lock(prop_cache_mutex_);
     if (prop_cache_.size() >= kPropCacheMax) return ws.prop;
@@ -236,7 +234,7 @@ void PulseExecutor::propagate(const AffineGenerator& gen, std::uint64_t tag,
             prop = &sample_propagator(gen, tag, x, ws, reuse);
             prev = x;
         }
-        linalg::simd::gemm_into(*prop, block, ws.next);
+        linalg::gemm_into(*prop, block, ws.next);
         std::swap(block, ws.next);
     }
 }

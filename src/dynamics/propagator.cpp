@@ -23,8 +23,8 @@ void check_amps(const PwcSystem& sys, const ControlAmplitudes& amps) {
 /// into a reused buffer and exponentiates through one workspace, so a
 /// waveform of thousands of slots costs no allocation beyond the returned
 /// propagators themselves.
-std::vector<Mat> pwc_propagators(const PwcSystem& sys, const ControlAmplitudes& amps, cplx scale,
-                                 linalg::ExpmMethod method) {
+std::vector<Mat> pwc_propagators(const PwcSystem& sys, const ControlAmplitudes& amps,
+                                 cplx scale) {
     check_amps(sys, amps);
     linalg::ExpmWorkspace ws;
     Mat gen;
@@ -35,7 +35,7 @@ std::vector<Mat> pwc_propagators(const PwcSystem& sys, const ControlAmplitudes& 
             linalg::add_scaled(gen, cplx{amps[k][j], 0.0}, sys.ctrls[j]);
         }
         gen *= scale;
-        linalg::expm_into(gen, props[k], ws, method);
+        linalg::expm_into(gen, props[k], ws);
     }
     return props;
 }
@@ -59,8 +59,7 @@ std::vector<Mat> pwc_unitary_propagators(const PwcSystem& sys, const ControlAmpl
     for (const Mat& c : sys.ctrls) {
         contracts::check_hermitian(c, "pwc_unitary_propagators: control H_j");
     }
-    // kAuto: Hermitian-generator slots take the exact spectral path.
-    std::vector<Mat> props = pwc_propagators(sys, amps, -kI * dt, linalg::ExpmMethod::kAuto);
+    std::vector<Mat> props = pwc_propagators(sys, amps, -kI * dt);
     for (const Mat& p : props) {
         contracts::check_unitary(p, "pwc_unitary_propagators: slot propagator", 1e-9);
     }
@@ -69,9 +68,7 @@ std::vector<Mat> pwc_unitary_propagators(const PwcSystem& sys, const ControlAmpl
 
 std::vector<Mat> pwc_superop_propagators(const PwcSystem& sys, const ControlAmplitudes& amps,
                                          double dt) {
-    // Liouvillians are non-Hermitian: pin Pade rather than paying the
-    // anti-Hermitian scan per slot.
-    return pwc_propagators(sys, amps, cplx{dt, 0.0}, linalg::ExpmMethod::kPade);
+    return pwc_propagators(sys, amps, cplx{dt, 0.0});
 }
 
 Mat chain_product(const std::vector<Mat>& props) {

@@ -25,6 +25,8 @@ double parse_double(const std::string& s) {
         std::size_t pos = 0;
         const double v = std::stod(s, &pos);
         if (pos != s.size()) throw std::runtime_error("io: non-numeric cell '" + s + "'");
+        // std::stod accepts "nan" and "inf"; no CSV field here may hold one.
+        if (!std::isfinite(v)) throw std::runtime_error("io: non-finite cell '" + s + "'");
         return v;
     } catch (const std::invalid_argument&) {
         throw std::runtime_error("io: non-numeric cell '" + s + "'");

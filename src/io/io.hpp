@@ -24,7 +24,7 @@ namespace qoc::io {
 void write_amplitudes_csv(std::ostream& os, const dynamics::ControlAmplitudes& amps);
 
 /// Reads amplitudes back.  Throws `std::runtime_error` on malformed input
-/// (ragged rows, non-numeric cells, missing header).
+/// (ragged rows, non-numeric or non-finite cells, missing header).
 dynamics::ControlAmplitudes read_amplitudes_csv(std::istream& is);
 
 /// File-path convenience wrappers.

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "contracts/matrix_checks.hpp"
-
 namespace qoc::linalg {
 
 namespace {
@@ -22,8 +20,7 @@ double off_norm2(const Mat& a) {
 
 /// Cyclic Jacobi sweeps: diagonalizes `w` in place while accumulating the
 /// rotations into `v` (which must start as the identity), so on return
-/// `a = v diag(w) v^dagger`.  Shared by the sorting and the no-alloc entry
-/// points; any change here changes both bitwise.
+/// `a = v diag(w) v^dagger`.
 void jacobi_diagonalize(Mat& w, Mat& v) {
     const std::size_t n = w.rows();
     const double scale = std::max(1.0, w.frobenius_norm());
@@ -104,20 +101,6 @@ EigH eig_hermitian(const Mat& a, double herm_tol) {
         for (std::size_t i = 0; i < n; ++i) out.eigenvectors(i, j) = v(i, order[j]);
     }
     return out;
-}
-
-void eig_hermitian_into(const Mat& a, std::vector<double>& eigenvalues, Mat& eigenvectors,
-                        Mat& work) {
-    // The release path skips the Hermiticity test by design (hot loop); the
-    // contract restores it in checked builds.
-    contracts::check_hermitian(a, "eig_hermitian_into: input");
-    const std::size_t n = a.rows();
-    work = a;
-    eigenvectors.resize(n, n);  // zero-fills, then seed the identity
-    for (std::size_t i = 0; i < n; ++i) eigenvectors(i, i) = cplx{1.0, 0.0};
-    jacobi_diagonalize(work, eigenvectors);
-    eigenvalues.resize(n);
-    for (std::size_t i = 0; i < n; ++i) eigenvalues[i] = work(i, i).real();
 }
 
 Mat hermitian_function(const Mat& a, double (*f)(double)) {

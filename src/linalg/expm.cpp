@@ -1,22 +1,17 @@
 #include "linalg/expm.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/eig_hermitian.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
 
 namespace {
-
-constexpr cplx kI{0.0, 1.0};
 
 constexpr std::array<double, 4> kPade3 = {120.0, 60.0, 12.0, 1.0};
 constexpr std::array<double, 6> kPade5 = {30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0};
@@ -48,40 +43,6 @@ constexpr double kTheta7 = 9.504178996162932e-1;
 constexpr double kTheta9 = 2.097847961257068e0;
 constexpr double kTheta13 = 5.371920351148152e0;
 
-/// Evaluates the order-m Pade approximant r_m(A) = q_m(A)^{-1} p_m(A) given
-/// the coefficient table; even/odd splitting per Higham.
-Mat pade_eval(const Mat& a, const double* b, int m) {
-    const std::size_t n = a.rows();
-    const Mat ident = Mat::identity(n);
-    const Mat a2 = a * a;
-
-    // U = A * (sum over odd coefficients), V = sum over even coefficients.
-    Mat u_poly(n, n), v_poly(n, n);
-    if (m == 13) {
-        const Mat a4 = a2 * a2;
-        const Mat a6 = a4 * a2;
-        const Mat u_hi = a6 * (b[13] * a6 + b[11] * a4 + b[9] * a2);
-        const Mat u_lo = b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident;
-        u_poly = a * (u_hi + u_lo);
-        const Mat v_hi = a6 * (b[12] * a6 + b[10] * a4 + b[8] * a2);
-        v_poly = v_hi + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident;
-    } else {
-        // Orders 3, 5, 7, 9: direct Horner over powers of A^2.
-        Mat a_pow = ident;
-        Mat usum = b[1] * ident;
-        Mat vsum = b[0] * ident;
-        for (int k = 1; 2 * k <= m; ++k) {
-            a_pow = a_pow * a2;
-            usum += b[2 * k + 1] * a_pow;
-            vsum += b[2 * k] * a_pow;
-        }
-        u_poly = a * usum;
-        v_poly = vsum;
-    }
-    // r_m(A) = (V - U)^{-1} (V + U)
-    return solve(v_poly - u_poly, v_poly + u_poly);
-}
-
 const double* pade_table(int m) {
     switch (m) {
         case 3: return kPade3.data();
@@ -93,8 +54,11 @@ const double* pade_table(int m) {
 }
 
 /// Picks the Pade order for `nrm = ||A||_1` and, for order 13, the number of
-/// scaling steps `s` such that ||A / 2^s||_1 <= theta_13.
+/// scaling steps `s` such that ||A / 2^s||_1 <= theta_13.  Throws
+/// `std::invalid_argument` on a non-finite norm (an inf or NaN entry), which
+/// no amount of scaling brings under theta_13.
 int choose_pade_order(double nrm, int& s) {
+    if (!std::isfinite(nrm)) throw std::invalid_argument("expm: non-finite matrix entry");
     s = 0;
     if (nrm <= kTheta3) return 3;
     if (nrm <= kTheta5) return 5;
@@ -106,16 +70,6 @@ int choose_pade_order(double nrm, int& s) {
         ++s;
     }
     return 13;
-}
-
-/// True when `A = -iS` for a Hermitian S, i.e. a(j,i) == -conj(a(i,j))
-/// within roundoff of the largest entry.  Closed-system GRAPE slot
-/// exponents `-i dt H` satisfy this exactly.
-bool is_anti_hermitian(const Mat& a, double tol) {
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = i; j < a.cols(); ++j)
-            if (std::abs(a(i, j) + std::conj(a(j, i))) > tol) return false;
-    return true;
 }
 
 /// `m += c * I`.
@@ -133,31 +87,6 @@ void set_scaled(Mat& out, const Mat& x, double c) {
 /// `n_dirs == 0` this is a plain workspace expm.
 void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
                         Mat* frechet_out, ExpmWorkspace& ws) {
-    // Every gemm and triangular solve below goes through one of these three
-    // dispatchers; ws.use_simd_kernels swaps the whole Pade path onto the
-    // fma-contracted simd kernel family in one place (see expm.hpp).
-    const bool use_simd = ws.use_simd_kernels;
-    const auto mul_into = [use_simd](const Mat& x, const Mat& y, Mat& o) {
-        if (use_simd) {
-            simd::gemm_into(x, y, o);
-        } else {
-            gemm_into(x, y, o);
-        }
-    };
-    const auto mul_acc = [use_simd](const Mat& x, const Mat& y, Mat& o) {
-        if (use_simd) {
-            simd::gemm_acc(x, y, o);
-        } else {
-            gemm_acc(x, y, o);
-        }
-    };
-    const auto lu_solve = [use_simd](const Lu& f, const Mat& rhs, Mat& x) {
-        if (use_simd) {
-            f.solve_into_simd(rhs, x);
-        } else {
-            f.solve_into(rhs, x);
-        }
-    };
     const std::size_t n = a.rows();
     int s = 0;
     const int m = choose_pade_order(a.norm_1(), s);
@@ -179,8 +108,8 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
     // the factored polynomials; orders 3..9 need A^2 .. A^{m-1} directly.
     const std::size_t kmax = (m == 13) ? 3 : static_cast<std::size_t>(m - 1) / 2;
     if (ws.pows.size() < kmax + 1) ws.pows.resize(kmax + 1);
-    mul_into(as, as, ws.pows[1]);
-    for (std::size_t k = 2; k <= kmax; ++k) mul_into(ws.pows[k - 1], ws.pows[1], ws.pows[k]);
+    gemm_into(as, as, ws.pows[1]);
+    for (std::size_t k = 2; k <= kmax; ++k) gemm_into(ws.pows[k - 1], ws.pows[1], ws.pows[k]);
 
     // Shared U = A * (odd poly), V = even poly.
     if (m == 13) {
@@ -191,17 +120,17 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         set_scaled(ws.w1, a6, b[13]);
         add_scaled(ws.w1, cplx{b[11]}, a4);
         add_scaled(ws.w1, cplx{b[9]}, a2);
-        mul_into(a6, ws.w1, ws.w);
+        gemm_into(a6, ws.w1, ws.w);
         add_scaled(ws.w, cplx{b[7]}, a6);
         add_scaled(ws.w, cplx{b[5]}, a4);
         add_scaled(ws.w, cplx{b[3]}, a2);
         add_diag(ws.w, b[1]);
-        mul_into(as, ws.w, ws.u);
+        gemm_into(as, ws.w, ws.u);
         // z1 = b12 A6 + b10 A4 + b8 A2 ; V = A6 z1 + b6 A6 + b4 A4 + b2 A2 + b0 I
         set_scaled(ws.z1, a6, b[12]);
         add_scaled(ws.z1, cplx{b[10]}, a4);
         add_scaled(ws.z1, cplx{b[8]}, a2);
-        mul_into(a6, ws.z1, ws.v);
+        gemm_into(a6, ws.z1, ws.v);
         add_scaled(ws.v, cplx{b[6]}, a6);
         add_scaled(ws.v, cplx{b[4]}, a4);
         add_scaled(ws.v, cplx{b[2]}, a2);
@@ -215,7 +144,7 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
             add_scaled(ws.usum, cplx{b[2 * k + 1]}, ws.pows[k]);
             add_scaled(ws.v, cplx{b[2 * k]}, ws.pows[k]);
         }
-        mul_into(as, ws.usum, ws.u);
+        gemm_into(as, ws.usum, ws.u);
     }
 
     // r = (V - U)^{-1} (V + U); one LU shared by every direction.
@@ -224,7 +153,7 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
     ws.t2 = ws.v;
     ws.t2 += ws.u;
     ws.fact.factor(ws.t1);
-    lu_solve(ws.fact, ws.t2, ws.r);
+    ws.fact.solve_into(ws.t2, ws.r);
 
     // Per-direction derivative polynomials against the shared intermediates.
     for (std::size_t d = 0; d < n_dirs; ++d) {
@@ -232,35 +161,35 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         if (s > 0) ws.es *= sf;
         const Mat& es = ws.es;
         // M2 = A E + E A (all in the scaled variables).
-        mul_into(as, es, ws.m2);
-        mul_acc(es, as, ws.m2);
+        gemm_into(as, es, ws.m2);
+        gemm_acc(es, as, ws.m2);
         if (m == 13) {
             const Mat& a2 = ws.pows[1];
             const Mat& a4 = ws.pows[2];
             const Mat& a6 = ws.pows[3];
             // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
-            mul_into(a2, ws.m2, ws.m4);
-            mul_acc(ws.m2, a2, ws.m4);
-            mul_into(ws.m4, a2, ws.m6);
-            mul_acc(a4, ws.m2, ws.m6);
+            gemm_into(a2, ws.m2, ws.m4);
+            gemm_acc(ws.m2, a2, ws.m4);
+            gemm_into(ws.m4, a2, ws.m6);
+            gemm_acc(a4, ws.m2, ws.m6);
             // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
             //         + b7 M6 + b5 M4 + b3 M2) + E*w
             set_scaled(ws.lw1, ws.m6, b[13]);
             add_scaled(ws.lw1, cplx{b[11]}, ws.m4);
             add_scaled(ws.lw1, cplx{b[9]}, ws.m2);
-            mul_into(ws.m6, ws.w1, ws.lw);
-            mul_acc(a6, ws.lw1, ws.lw);
+            gemm_into(ws.m6, ws.w1, ws.lw);
+            gemm_acc(a6, ws.lw1, ws.lw);
             add_scaled(ws.lw, cplx{b[7]}, ws.m6);
             add_scaled(ws.lw, cplx{b[5]}, ws.m4);
             add_scaled(ws.lw, cplx{b[3]}, ws.m2);
-            mul_into(as, ws.lw, ws.lu_m);
-            mul_acc(es, ws.w, ws.lu_m);
+            gemm_into(as, ws.lw, ws.lu_m);
+            gemm_acc(es, ws.w, ws.lu_m);
             // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
             set_scaled(ws.lw1, ws.m6, b[12]);
             add_scaled(ws.lw1, cplx{b[10]}, ws.m4);
             add_scaled(ws.lw1, cplx{b[8]}, ws.m2);
-            mul_into(ws.m6, ws.z1, ws.lv_m);
-            mul_acc(a6, ws.lw1, ws.lv_m);
+            gemm_into(ws.m6, ws.z1, ws.lv_m);
+            gemm_acc(a6, ws.lw1, ws.lv_m);
             add_scaled(ws.lv_m, cplx{b[6]}, ws.m6);
             add_scaled(ws.lv_m, cplx{b[4]}, ws.m4);
             add_scaled(ws.lv_m, cplx{b[2]}, ws.m2);
@@ -273,108 +202,48 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
                 if (k == 1) {
                     ws.mcur = ws.m2;
                 } else {
-                    mul_into(ws.mprev, ws.pows[1], ws.mcur);
-                    mul_acc(ws.pows[k - 1], ws.m2, ws.mcur);
+                    gemm_into(ws.mprev, ws.pows[1], ws.mcur);
+                    gemm_acc(ws.pows[k - 1], ws.m2, ws.mcur);
                 }
                 add_scaled(ws.lusum, cplx{b[2 * k + 1]}, ws.mcur);
                 add_scaled(ws.lv_m, cplx{b[2 * k]}, ws.mcur);
                 std::swap(ws.mprev, ws.mcur);
             }
             // Lu = E * usum + A * lusum.
-            mul_into(es, ws.usum, ws.lu_m);
-            mul_acc(as, ws.lusum, ws.lu_m);
+            gemm_into(es, ws.usum, ws.lu_m);
+            gemm_acc(as, ws.lusum, ws.lu_m);
         }
         // (V - U) L = Lu + Lv - (Lv - Lu) r, reusing the shared LU.
         ws.t2 = ws.lv_m;
         ws.t2 -= ws.lu_m;
         ws.rhs = ws.lu_m;
         ws.rhs += ws.lv_m;
-        mul_into(ws.t2, ws.r, ws.t1);
+        gemm_into(ws.t2, ws.r, ws.t1);
         ws.rhs -= ws.t1;
-        lu_solve(ws.fact, ws.rhs, frechet_out[d]);
+        ws.fact.solve_into(ws.rhs, frechet_out[d]);
     }
 
     // Squaring phase: L <- rL + Lr for every direction, then r <- r^2.
     for (int step = 0; step < s; ++step) {
         for (std::size_t d = 0; d < n_dirs; ++d) {
-            mul_into(ws.r, frechet_out[d], ws.t1);
-            mul_acc(frechet_out[d], ws.r, ws.t1);
+            gemm_into(ws.r, frechet_out[d], ws.t1);
+            gemm_acc(frechet_out[d], ws.r, ws.t1);
             std::swap(frechet_out[d], ws.t1);
         }
-        mul_into(ws.r, ws.r, ws.t1);
+        gemm_into(ws.r, ws.r, ws.t1);
         std::swap(ws.r, ws.t1);
     }
     exp_out = ws.r;
-}
-
-/// Daleckii-Krein spectral path for anti-Hermitian A = -iS (see expm.hpp).
-void spectral_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                            Mat* frechet_out, ExpmWorkspace& ws) {
-    obs::count(obs::Cnt::kExpmSpectral);
-    const std::size_t n = a.rows();
-    ws.t1 = a;
-    ws.t1 *= kI;  // S = iA, Hermitian
-    eig_hermitian_into(ws.t1, ws.evals, ws.evec, ws.ework);
-    const Mat& vec = ws.evec;
-    const std::vector<double>& lam = ws.evals;
-
-    ws.vt.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) ws.vt(i, j) = std::conj(vec(j, i));
-
-    // e^A = V diag(e^{-i lam}) V^dag.
-    ws.phases.resize(n);
-    for (std::size_t i = 0; i < n; ++i) ws.phases[i] = cplx{std::cos(lam[i]), -std::sin(lam[i])};
-    ws.t2.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) ws.t2(i, j) = vec(i, j) * ws.phases[j];
-    gemm_into(ws.t2, ws.vt, exp_out);
-
-    for (std::size_t d = 0; d < n_dirs; ++d) {
-        // G = V^dag E V, then the divided-difference Hadamard product
-        // Phi_kl = e^{-i (lam_k + lam_l)/2} sinc((lam_k - lam_l)/2).
-        gemm_into(ws.vt, dirs[d], ws.t1);
-        gemm_into(ws.t1, vec, ws.g);
-        for (std::size_t k = 0; k < n; ++k) {
-            for (std::size_t l = 0; l < n; ++l) {
-                const double half_diff = 0.5 * (lam[k] - lam[l]);
-                const double mid = 0.5 * (lam[k] + lam[l]);
-                // sin(x)/x is cancellation-free; the series guard only
-                // covers the exact-degeneracy limit.
-                const double sinc = (std::abs(half_diff) < 1e-9)
-                                        ? 1.0 - half_diff * half_diff / 6.0
-                                        : std::sin(half_diff) / half_diff;
-                ws.g(k, l) *= cplx{std::cos(mid), -std::sin(mid)} * sinc;
-            }
-        }
-        gemm_into(vec, ws.g, ws.t1);
-        gemm_into(ws.t1, ws.vt, frechet_out[d]);
-    }
 }
 
 }  // namespace
 
 Mat expm(const Mat& a) {
     if (!a.is_square()) throw std::invalid_argument("expm: non-square matrix");
-    const double nrm = a.norm_1();
-
-    if (nrm <= kTheta3) return pade_eval(a, kPade3.data(), 3);
-    if (nrm <= kTheta5) return pade_eval(a, kPade5.data(), 5);
-    if (nrm <= kTheta7) return pade_eval(a, kPade7.data(), 7);
-    if (nrm <= kTheta9) return pade_eval(a, kPade9.data(), 9);
-
-    // Scaling and squaring with Pade 13.
-    int s = 0;
-    double scaled = nrm;
-    while (scaled > kTheta13) {
-        scaled *= 0.5;
-        ++s;
-    }
-    Mat a_scaled = a;
-    a_scaled *= std::ldexp(1.0, -s);
-    Mat r = pade_eval(a_scaled, kPade13.data(), 13);
-    for (int k = 0; k < s; ++k) r = r * r;
-    return r;
+    ExpmWorkspace ws;
+    Mat out;
+    expm_into(a, out, ws);
+    return out;
 }
 
 std::pair<Mat, Mat> expm_frechet(const Mat& a, const Mat& e) {
@@ -390,19 +259,8 @@ std::pair<Mat, Mat> expm_frechet(const Mat& a, const Mat& e) {
     return {big.block(0, 0, n, n), big.block(0, n, n, n)};
 }
 
-Mat expm_hermitian(const Mat& h, double t) {
-    const EigH e = eig_hermitian(h);
-    const std::size_t n = h.rows();
-    Mat d(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double phi = -e.eigenvalues[i] * t;
-        d(i, i) = cplx{std::cos(phi), std::sin(phi)};
-    }
-    return e.eigenvectors * d * e.eigenvectors.adjoint();
-}
-
 void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                        Mat* frechet_out, ExpmWorkspace& ws, ExpmMethod method) {
+                        Mat* frechet_out, ExpmWorkspace& ws) {
     if (!a.is_square()) throw std::invalid_argument("expm_frechet_multi: non-square matrix");
     for (std::size_t d = 0; d < n_dirs; ++d) {
         if (dirs[d].rows() != a.rows() || dirs[d].cols() != a.cols()) {
@@ -410,28 +268,20 @@ void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         }
     }
     assert(n_dirs == 0 || frechet_out != nullptr);
-    if (method == ExpmMethod::kAuto) {
-        const double tol = 1e-12 * std::max(1.0, a.max_abs());
-        method = is_anti_hermitian(a, tol) ? ExpmMethod::kSpectral : ExpmMethod::kPade;
-    }
-    if (method == ExpmMethod::kSpectral) {
-        spectral_frechet_multi(a, dirs, n_dirs, exp_out, frechet_out, ws);
-    } else {
-        pade_frechet_multi(a, dirs, n_dirs, exp_out, frechet_out, ws);
-    }
+    pade_frechet_multi(a, dirs, n_dirs, exp_out, frechet_out, ws);
 }
 
-std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a, const std::vector<Mat>& dirs,
-                                                    ExpmMethod method) {
+std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a,
+                                                    const std::vector<Mat>& dirs) {
     ExpmWorkspace ws;
     std::pair<Mat, std::vector<Mat>> out;
     out.second.resize(dirs.size());
-    expm_frechet_multi(a, dirs.data(), dirs.size(), out.first, out.second.data(), ws, method);
+    expm_frechet_multi(a, dirs.data(), dirs.size(), out.first, out.second.data(), ws);
     return out;
 }
 
-void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws, ExpmMethod method) {
-    expm_frechet_multi(a, nullptr, 0, out, nullptr, ws, method);
+void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws) {
+    expm_frechet_multi(a, nullptr, 0, out, nullptr, ws);
 }
 
 }  // namespace qoc::linalg

@@ -15,7 +15,9 @@ namespace qoc::linalg {
 
 /// Matrix exponential `e^A` for a general complex square matrix, via
 /// scaling-and-squaring with Pade approximants of order 3/5/7/9/13
-/// (Higham 2005).
+/// (Higham 2005).  One-shot wrapper over `expm_into` with a fresh
+/// workspace.  Throws `std::invalid_argument` on non-square input or a
+/// non-finite entry.
 Mat expm(const Mat& a);
 
 /// Frechet derivative `L(A, E) = d/ds e^{A + sE} |_{s=0}` computed with the
@@ -28,40 +30,16 @@ Mat expm(const Mat& a);
 /// implementation the engine is tested against.
 std::pair<Mat, Mat> expm_frechet(const Mat& a, const Mat& e);
 
-/// Unitary propagator `exp(-i H t)` of a Hermitian `H` via its spectrum.
-/// More accurate than generic expm for strongly scaled Hamiltonians and
-/// reuses a cached eigendecomposition when stepping many times.
-Mat expm_hermitian(const Mat& h, double t);
-
 // --- batched propagator-gradient engine --------------------------------------
-
-/// Algorithm selector for the batched engine.
-enum class ExpmMethod {
-    kAuto,      ///< kSpectral when A is anti-Hermitian (closed-system GRAPE
-                ///  slot exponents `-i dt H`), kPade otherwise.
-    kPade,      ///< shared-Pade scaling-and-squaring (any generator)
-    kSpectral,  ///< Daleckii-Krein divided differences through eig_hermitian;
-                ///  requires an anti-Hermitian `A = -i S`, S Hermitian
-};
 
 /// Reusable scratch for `expm_into` / `expm_frechet_multi`.  All buffers are
 /// implementation detail: contents are unspecified between calls, and the
 /// only guarantee is that repeated calls at the same matrix size perform no
-/// heap allocation on either path (the spectral path runs the no-alloc
-/// `eig_hermitian_into`).  One workspace must not be shared between
-/// threads; the GRAPE evaluator keeps one per OpenMP thread.
+/// heap allocation.  One workspace must not be shared between threads; the
+/// GRAPE evaluator leases one per task.
 class ExpmWorkspace {
 public:
     ExpmWorkspace() = default;
-
-    /// Routes the Pade path's gemms and triangular solves through the
-    /// `linalg::simd` kernel family (simd_kernels.hpp).  Default OFF: the
-    /// fma-contracted kernels round differently from the legacy `gemm_into`
-    /// arithmetic that pins every historical golden trajectory, so only the
-    /// open-system evaluator (whose structured path carries its own 1e-12
-    /// agreement budget) and the device executor's propagation loop switch
-    /// this on.  The spectral path ignores it.
-    bool use_simd_kernels = false;
 
     // shared Pade intermediates (one set per A, reused across directions)
     Mat as;                 ///< scaled generator A / 2^s
@@ -74,46 +52,33 @@ public:
     // per-direction scratch
     Mat es, m2, m4, m6, mcur, mprev, lw1, lw, lusum, lu_m, lv_m, rhs;
     Mat t1, t2;
-    // spectral-path scratch
-    Mat vt, g, evec, ework;
-    std::vector<double> evals;
-    std::vector<cplx> phases;
 };
 
-/// `out = e^A` through the workspace engine: allocation-free on shape reuse
-/// and, with kAuto/kSpectral on anti-Hermitian input, via the exact spectral
-/// formula instead of Pade.  Used by the PWC propagator builders and Krotov,
+/// `out = e^A` through the workspace engine: allocation-free on shape reuse.
+/// Used by the PWC propagator builders, Krotov and the device executor,
 /// which exponentiate thousands of same-size slot generators.
-void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws,
-               ExpmMethod method = ExpmMethod::kAuto);
+void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws);
 
 /// Computes `e^A` and the Frechet derivatives `L(A, E_j)` for all `n_dirs`
 /// directions at once.
 ///
-/// kPade path: one set of Pade intermediates (A^2, A^4, A^6, the factored
-/// polynomials and one LU of V - U) is built for A and reused for every
-/// direction, Al-Mohy-Higham style; per direction only the derivative
-/// polynomials, one back-substitution and the squaring-phase products
-/// remain.  Cost per direction is ~N^3 gemms instead of the (2N)^3 ~ 8x
-/// augmented-block expm that `expm_frechet` pays.
-///
-/// kSpectral path (anti-Hermitian A = -i S): one Jacobi eigendecomposition
-/// of S, then per direction the Daleckii-Krein divided-difference formula
-///   L(A, E) = V [ (V^dag E V) o Phi ] V^dag,
-///   Phi_kl = e^{-i(lam_k+lam_l)/2} * sinc((lam_k-lam_l)/2),
-/// i.e. two gemm pairs and a Hadamard product per direction.
+/// One set of Pade intermediates (A^2, A^4, A^6, the factored polynomials
+/// and one LU of V - U) is built for A and reused for every direction,
+/// Al-Mohy-Higham style; per direction only the derivative polynomials, one
+/// back-substitution and the squaring-phase products remain.  Cost per
+/// direction is ~N^3 gemms instead of the (2N)^3 ~ 8x augmented-block expm
+/// that `expm_frechet` pays.
 ///
 /// `frechet_out` must point at `n_dirs` writable matrices (resized in
 /// place); `exp_out`/`frechet_out` must not alias `a`/`dirs`.  Every
-/// direction must have the shape of `a`.  Results are deterministic for a
+/// direction must have the shape of `a`, and `a` must be finite
+/// (`std::invalid_argument` otherwise).  Results are deterministic for a
 /// given input regardless of how calls are distributed over threads.
 void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs,
-                        Mat& exp_out, Mat* frechet_out, ExpmWorkspace& ws,
-                        ExpmMethod method = ExpmMethod::kAuto);
+                        Mat& exp_out, Mat* frechet_out, ExpmWorkspace& ws);
 
 /// Convenience overload with value-semantics results (tests, one-shot use).
-std::pair<Mat, std::vector<Mat>> expm_frechet_multi(
-    const Mat& a, const std::vector<Mat>& dirs,
-    ExpmMethod method = ExpmMethod::kAuto);
+std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a,
+                                                    const std::vector<Mat>& dirs);
 
 }  // namespace qoc::linalg

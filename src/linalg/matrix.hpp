@@ -111,6 +111,7 @@ public:
     double max_abs() const;
 
     /// Induced 1-norm (max absolute column sum); used by expm scaling.
+    /// NaN when any entry is NaN.
     double norm_1() const;
 
     /// True when `|a_ij - a_ji^*| <= tol` for all entries.
@@ -148,7 +149,8 @@ Mat operator*(cplx scalar, Mat m);
 Mat operator*(Mat m, double scalar);
 Mat operator*(double scalar, Mat m);
 
-/// Matrix product; throws `std::invalid_argument` on shape mismatch.
+/// Matrix product through `gemm_into`; throws `std::invalid_argument` on
+/// shape mismatch.
 Mat operator*(const Mat& a, const Mat& b);
 
 /// `a^dagger * b` without forming the adjoint.
@@ -161,10 +163,12 @@ Mat adjoint_times(const Mat& a, const Mat& b);
 // Destinations must not alias the inputs.  These are the building blocks of
 // the GRAPE evaluator workspace and the shared-Pade Frechet engine, where
 // the same scratch matrices are recycled across thousands of objective
-// evaluations.
+// evaluations.  `gemm_into`, `gemm_acc`, `gemv_into` and `operator*` all run
+// on the `linalg::simd` accumulation contract (simd_kernels.hpp), so every
+// dense product rounds the same way on every CPU.
 
-/// `out = a * b` with a cache-blocked inner loop.  `out` must not alias
-/// `a` or `b`; it is resized (allocation-free on shape reuse).
+/// `out = a * b`.  `out` must not alias `a` or `b`; it is resized
+/// (allocation-free on shape reuse).
 void gemm_into(const Mat& a, const Mat& b, Mat& out);
 
 /// `out += a * b`.  Shapes must already agree; `out` must not alias inputs.

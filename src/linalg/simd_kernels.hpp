@@ -1,14 +1,12 @@
 /// \file simd_kernels.hpp
-/// \brief Runtime-dispatched SIMD complex kernels for the structured
-///        superoperator layer and the open-system GRAPE hot path.
+/// \brief Runtime-dispatched SIMD complex kernels: the one arithmetic
+///        family behind every dense product and solve in qoc.
 ///
-/// The legacy kernels in matrix.hpp (`gemm_into`, `gemv_into`, ...) are the
-/// bitwise reference arithmetic of every historical result in this repo:
-/// design goldens, RB curves and the determinism suites all pin their exact
-/// rounding.  They are therefore left untouched.  This header is a SECOND
-/// kernel family with its own (also fixed) rounding profile, engaged only
-/// behind explicit dispatch points: the structured superoperator applies,
-/// the batched RB seed propagation and the open-system expm/Frechet engine.
+/// `gemm_into`, `gemm_acc`, `gemv_into` and `operator*` (matrix.hpp) and
+/// `Lu::solve_into` (lu.hpp) are thin wrappers over these raw kernels, and
+/// the structured superoperator applies and the batched RB seed engine call
+/// them directly.  Design goldens, RB curves and the determinism suites all
+/// pin this family's rounding.
 ///
 /// Determinism contract of this family: for every output element the
 /// accumulation runs over ascending inner index `p`, and each partial
@@ -26,7 +24,8 @@
 /// seed propagation and 1-vs-N-thread runs bit-identical by construction.
 ///
 /// Dispatch: resolved once per process from CPUID (AVX2+FMA), overridable
-/// for tests via `force_scalar`.
+/// for tests via `force_scalar`.  A `-DQOC_SIMD_KERNELS=OFF` build compiles
+/// only the scalar replay.
 
 #pragma once
 
@@ -79,13 +78,5 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
 /// `xi[j] -= l * xk[j]` over `n` contiguous elements: the row update of the
 /// vectorized LU forward/backward substitution.
 void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept;
-
-// --- Mat wrappers ------------------------------------------------------------
-
-/// `out = a * b`; resizes `out` (allocation-free on shape reuse).
-void gemm_into(const Mat& a, const Mat& b, Mat& out);
-
-/// `out += a * b`; shapes must already agree.
-void gemm_acc(const Mat& a, const Mat& b, Mat& out);
 
 }  // namespace qoc::linalg::simd

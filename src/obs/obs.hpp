@@ -88,7 +88,8 @@ enum class Cnt : unsigned {
     kExpmPade7,
     kExpmPade9,
     kExpmPade13,
-    kExpmSpectral,      ///< Daleckii-Krein spectral-path calls
+    kExpmSpectral,      ///< always 0: the spectral expm route is gone; kept
+                        ///  because metric readers still name it
     kSvcCacheHit,       ///< pulse-store lookups served from a fresh entry
     kSvcCacheMiss,      ///< pulse-store misses (fan out to a design task)
     kSvcCacheRevalidate,  ///< suspect entries re-validated by IRB (not redesigned)

@@ -11,7 +11,8 @@ Waveform::Waveform(std::vector<std::complex<double>> samples, std::string name)
     : samples_(std::move(samples)), name_(std::move(name)) {
     if (samples_.empty()) throw std::invalid_argument("Waveform: empty sample list");
     for (const auto& s : samples_) {
-        if (std::abs(s) > 1.0 + 1e-9) {
+        // Written as a negated <= so a NaN sample fails the check too.
+        if (!(std::abs(s) <= 1.0 + 1e-9)) {
             throw std::invalid_argument("Waveform: |sample| exceeds the unit amplitude bound");
         }
     }

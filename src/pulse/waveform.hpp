@@ -18,8 +18,8 @@ class Waveform {
 public:
     Waveform() = default;
 
-    /// Throws `std::invalid_argument` when any |sample| > 1 + 1e-9 or the
-    /// sample list is empty.
+    /// Throws `std::invalid_argument` when any |sample| > 1 + 1e-9, any
+    /// sample is NaN, or the sample list is empty.
     Waveform(std::vector<std::complex<double>> samples, std::string name = "waveform");
 
     const std::vector<std::complex<double>>& samples() const noexcept { return samples_; }

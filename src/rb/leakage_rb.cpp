@@ -9,7 +9,6 @@
 #include "obs/obs.hpp"
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
-#include "quantum/superop.hpp"
 #include "runtime/ordered.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/workspace_pool.hpp"
@@ -18,60 +17,10 @@ namespace qoc::rb {
 
 namespace {
 
-/// Legacy per-seed loop (`QOC_DENSE_SUPEROP` escape hatch): dense matvec
-/// per Clifford through the historical `gemv_into` arithmetic.
-LeakageRbResult leakage_curve_dense(const PulseExecutor& exec, const GateSet1Q& gates,
-                                    const RbOptions& opts) {
-    const Clifford1Q& group = gates.group();
-    const std::size_t d = gates.dim();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-
-    struct Workspace {
-        Mat v, v_next;
-    };
-    runtime::WorkspacePool<Workspace> workspaces;
-
-    LeakageRbResult res;
-    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        // Per-seed slots plus a serial ordered sum: a parallel reduction's
-        // addition order (and hence the rounded double) would depend on the
-        // pool size.
-        std::vector<double> leaks(opts.seeds_per_length);
-        runtime::TaskPool::global().parallel_for(0, opts.seeds_per_length, [&](std::size_t s) {
-            std::mt19937_64 rng(opts.rng_seed + 104729 * (li * 1000 + s));
-            std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
-            auto lease = workspaces.acquire();
-            Workspace& w = *lease;
-            w.v = vec_rho0;
-            std::size_t net = group.identity_index();
-            for (std::size_t k = 0; k < m; ++k) {
-                const std::size_t c = dist(rng);
-                quantum::apply_superop_into(gates.clifford_superop(c), w.v, w.v_next);
-                std::swap(w.v, w.v_next);
-                net = group.multiply(c, net);
-            }
-            quantum::apply_superop_into(gates.clifford_superop(group.inverse(net)), w.v,
-                                        w.v_next);
-            std::swap(w.v, w.v_next);
-            // rho(lvl, lvl) sits at vec index lvl * (d + 1) (column stacking).
-            double leak = 0.0;
-            for (std::size_t lvl = 2; lvl < d; ++lvl) {
-                leak += w.v(lvl * (d + 1), 0).real();
-            }
-            leaks[s] = leak;
-            // Telemetry reports the computational-subspace survival 1 - leak.
-            obs::emit_rb_seed("leakage_rb", m, static_cast<std::int64_t>(s), 1.0 - leak);
-        });
-        res.lengths.push_back(m);
-        res.leakage_population.push_back(runtime::ordered_mean(leaks));
-    }
-    return res;
-}
-
-/// Batched SoA seed engine; mirrors rb.cpp's rb_curve_1q block loop (the
-/// per-seed RNG stream and the leakage readout are unchanged).
-LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q& gates,
+/// Batched SoA seed engine; mirrors rb.cpp's rb_curve_1q block loop, with
+/// seed streams `mt19937_64(rng_seed + 104729 * (li * 1000 + s))` and the
+/// leakage population read from the diagonal of vec(rho).
+LeakageRbResult leakage_curve(const PulseExecutor& exec, const GateSet1Q& gates,
                                       const RbOptions& opts) {
     const Clifford1Q& group = gates.group();
     const std::size_t d = gates.dim();
@@ -164,9 +113,7 @@ LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q
 
 LeakageRbResult run_leakage_rb_1q(const PulseExecutor& exec, const GateSet1Q& gates,
                                   const RbOptions& opts) {
-    LeakageRbResult res = quantum::dense_superop_forced()
-                              ? leakage_curve_dense(exec, gates, opts)
-                              : leakage_curve_batched(exec, gates, opts);
+    LeakageRbResult res = leakage_curve(exec, gates, opts);
 
     // Fit p_comp(m) = A lambda^m + (1 - p_inf) where p_comp = 1 - leakage.
     std::vector<double> p_comp(res.lengths.size());

@@ -7,6 +7,7 @@
 
 #include "dynamics/propagator.hpp"
 #include "linalg/expm.hpp"
+#include "linalg/expm_hermitian_reference.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
 
@@ -47,7 +48,7 @@ TEST(Rk45, MatchesExpmForConstantGenerator) {
     MatrixRhs rhs = [&](double, const Mat& psi) { return (-kI) * (h * psi); };
     const double t = 2.3;
     const auto res = integrate_rk45(rhs, basis_ket(2, 0), 0.0, t);
-    const Mat expect = linalg::expm_hermitian(h, t) * basis_ket(2, 0);
+    const Mat expect = linalg::reference::expm_hermitian(h, t) * basis_ket(2, 0);
     EXPECT_TRUE(res.state.approx_equal(expect, 1e-8));
 }
 

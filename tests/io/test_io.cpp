@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 namespace qoc::io {
 namespace {
@@ -51,6 +52,22 @@ TEST(IoAmplitudes, MalformedInputsThrow) {
     EXPECT_THROW(load_amplitudes("/nonexistent/dir/x.csv"), std::runtime_error);
     std::stringstream ss;
     EXPECT_THROW(write_amplitudes_csv(ss, {}), std::invalid_argument);
+}
+
+TEST(IoAmplitudes, NonFiniteCellsThrow) {
+    // std::stod parses these; an amplitude table must not carry them into
+    // the expm loop.
+    for (const char* cell : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+        std::stringstream ss(std::string("slot,u0\n0,") + cell + "\n");
+        EXPECT_THROW(read_amplitudes_csv(ss), std::runtime_error) << cell;
+    }
+}
+
+TEST(IoSamples, NonFiniteCellsThrow) {
+    for (const char* row : {"0,nan,0.0", "0,0.0,nan", "0,inf,0.0"}) {
+        std::stringstream ss(std::string("t_dt,re,im\n") + row + "\n");
+        EXPECT_THROW(read_samples_csv(ss), std::runtime_error) << row;
+    }
 }
 
 TEST(IoSamples, RoundTrip) {

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <random>
 
-#include "linalg/eig_hermitian.hpp"
+#include "linalg/expm_hermitian_reference.hpp"
 
 namespace qoc::linalg {
 namespace {
+
+using reference::expm_hermitian;
 
 constexpr cplx kI{0.0, 1.0};
 
@@ -91,6 +94,20 @@ TEST(Expm, SkewHermitianGivesUnitary) {
 }
 
 TEST(Expm, NonSquareThrows) { EXPECT_THROW(expm(Mat(2, 3)), std::invalid_argument); }
+
+TEST(Expm, NonFiniteEntryThrows) {
+    // An inf entry makes ||A||_1 infinite, which no scaling brings under
+    // theta_13; a NaN entry makes it NaN.  Both must throw, not loop.
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        Mat a{{0.1, 0.0}, {0.0, 0.2}};
+        a(0, 1) = cplx{bad, 0.0};
+        EXPECT_THROW(expm(a), std::invalid_argument) << bad;
+        ExpmWorkspace ws;
+        Mat out;
+        EXPECT_THROW(expm_into(a, out, ws), std::invalid_argument) << bad;
+    }
+}
 
 TEST(ExpmFrechet, MatchesFiniteDifference) {
     for (unsigned seed : {8u, 9u}) {

@@ -1,7 +1,7 @@
-/// Multi-direction Frechet engine: shared-Pade and spectral paths checked
-/// against finite differences and against the independent augmented-block
+/// Multi-direction Frechet engine: the shared-Pade path checked against
+/// finite differences and against the independent augmented-block
 /// `expm_frechet` across every Pade order (3..13) and the
-/// scaling-and-squaring branch.
+/// scaling-and-squaring branch, plus the AVX2-vs-scalar replay fence.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <random>
 
 #include "linalg/expm.hpp"
+#include "linalg/simd_kernels.hpp"
 
 namespace qoc::linalg {
 namespace {
@@ -49,7 +50,7 @@ TEST(ExpmFrechetMulti, MatchesAugmentedAcrossPadeOrders) {
         const Mat a = with_norm(random_matrix(5, 11, 1.0), nrm);
         const std::vector<Mat> dirs = {random_matrix(5, 21, 0.7), random_matrix(5, 22, 0.7),
                                        random_matrix(5, 23, 0.7)};
-        const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+        const auto [ea, ls] = expm_frechet_multi(a, dirs);
         EXPECT_LT(rel_diff(ea, expm(a)), 1e-11) << "norm=" << nrm;
         for (std::size_t j = 0; j < dirs.size(); ++j) {
             const auto [ea_ref, l_ref] = expm_frechet(a, dirs[j]);
@@ -64,7 +65,7 @@ TEST(ExpmFrechetMulti, MatchesFiniteDifferenceEveryOrder) {
     for (double nrm : norms) {
         const Mat a = with_norm(random_matrix(4, 31, 1.0), nrm);
         const std::vector<Mat> dirs = {random_matrix(4, 41, 0.5), random_matrix(4, 42, 0.5)};
-        const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+        const auto [ea, ls] = expm_frechet_multi(a, dirs);
         const double h = 1e-6;
         for (std::size_t j = 0; j < dirs.size(); ++j) {
             const Mat fd = (0.5 / h) * (expm(a + h * dirs[j]) - expm(a - h * dirs[j]));
@@ -73,38 +74,13 @@ TEST(ExpmFrechetMulti, MatchesFiniteDifferenceEveryOrder) {
     }
 }
 
-TEST(ExpmFrechetMulti, SpectralMatchesPadeOnAntiHermitian) {
-    // Closed-system GRAPE shape: A = -i dt H, directions -i dt H_j.
-    for (double dt : {0.05, 0.8, 3.0}) {
-        const Mat a = (-kI * dt) * random_hermitian(6, 51, 1.0);
-        const std::vector<Mat> dirs = {(-kI * dt) * random_hermitian(6, 52, 1.0),
-                                       (-kI * dt) * random_hermitian(6, 53, 1.0)};
-        const auto [ea_s, ls_s] = expm_frechet_multi(a, dirs, ExpmMethod::kSpectral);
-        const auto [ea_p, ls_p] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
-        EXPECT_LT(rel_diff(ea_s, ea_p), 1e-11) << "dt=" << dt;
-        EXPECT_TRUE(ea_s.is_unitary(1e-11));
-        for (std::size_t j = 0; j < dirs.size(); ++j) {
-            EXPECT_LT(rel_diff(ls_s[j], ls_p[j]), 1e-10) << "dt=" << dt << " dir=" << j;
-        }
-    }
-}
-
-TEST(ExpmFrechetMulti, AutoPicksSpectralResultOnAntiHermitian) {
-    const Mat a = (-kI * 0.7) * random_hermitian(4, 61, 1.0);
-    const std::vector<Mat> dirs = {(-kI * 0.7) * random_hermitian(4, 62, 1.0)};
-    const auto [ea_auto, ls_auto] = expm_frechet_multi(a, dirs, ExpmMethod::kAuto);
-    const auto [ea_spec, ls_spec] = expm_frechet_multi(a, dirs, ExpmMethod::kSpectral);
-    EXPECT_TRUE(ea_auto.approx_equal(ea_spec, 0.0));  // bitwise: same code path
-    EXPECT_TRUE(ls_auto[0].approx_equal(ls_spec[0], 0.0));
-}
-
 TEST(ExpmFrechetMulti, ManyDirectionsMatchSingleDirectionCalls) {
     const Mat a = random_matrix(4, 71, 0.8);
     std::vector<Mat> dirs;
     for (unsigned j = 0; j < 4; ++j) dirs.push_back(random_matrix(4, 80 + j, 0.6));
-    const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+    const auto [ea, ls] = expm_frechet_multi(a, dirs);
     for (std::size_t j = 0; j < dirs.size(); ++j) {
-        const auto [ea1, l1] = expm_frechet_multi(a, {dirs[j]}, ExpmMethod::kPade);
+        const auto [ea1, l1] = expm_frechet_multi(a, {dirs[j]});
         EXPECT_TRUE(ea.approx_equal(ea1, 0.0));  // bitwise: shared intermediates
         EXPECT_TRUE(ls[j].approx_equal(l1[0], 0.0));
     }
@@ -124,9 +100,8 @@ TEST(ExpmFrechetMulti, WorkspaceReuseAcrossSizesAndOrdersIsStateless) {
                 random_matrix(sizes[c], 100 + static_cast<unsigned>(c), 0.5)};
             Mat ea_shared;
             std::vector<Mat> l_shared(1);
-            expm_frechet_multi(a, dirs.data(), 1, ea_shared, l_shared.data(), shared,
-                               ExpmMethod::kPade);
-            const auto [ea_fresh, l_fresh] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+            expm_frechet_multi(a, dirs.data(), 1, ea_shared, l_shared.data(), shared);
+            const auto [ea_fresh, l_fresh] = expm_frechet_multi(a, dirs);
             EXPECT_TRUE(ea_shared.approx_equal(ea_fresh, 0.0)) << "case=" << c;
             EXPECT_TRUE(l_shared[0].approx_equal(l_fresh[0], 0.0)) << "case=" << c;
         }
@@ -137,7 +112,7 @@ TEST(ExpmFrechetMulti, LinearInDirection) {
     const Mat a = random_matrix(3, 111, 0.5);
     const Mat e1 = random_matrix(3, 112, 0.5);
     const Mat e2 = random_matrix(3, 113, 0.5);
-    const auto [ea, ls] = expm_frechet_multi(a, {e1, e2, e1 + e2}, ExpmMethod::kPade);
+    const auto [ea, ls] = expm_frechet_multi(a, {e1, e2, e1 + e2});
     (void)ea;
     EXPECT_LT((ls[2] - (ls[0] + ls[1])).max_abs(), 1e-10);
 }
@@ -147,14 +122,35 @@ TEST(ExpmInto, MatchesExpmAndReusesWorkspace) {
     Mat out;
     for (double nrm : {0.01, 0.8, 4.5, 20.0}) {
         const Mat a = with_norm(random_matrix(5, 121, 1.0), nrm);
-        expm_into(a, out, ws, ExpmMethod::kPade);
+        expm_into(a, out, ws);
         EXPECT_LT(rel_diff(out, expm(a)), 1e-11) << "norm=" << nrm;
     }
-    // Spectral branch: unitary result for anti-Hermitian input.
+    // Closed-system slot shape: anti-Hermitian input gives a unitary.
     const Mat a = (-kI * 1.3) * random_hermitian(5, 131, 1.0);
-    expm_into(a, out, ws);  // kAuto must detect anti-Hermitian
+    expm_into(a, out, ws);
     EXPECT_TRUE(out.is_unitary(1e-11));
     EXPECT_LT(rel_diff(out, expm(a)), 1e-11);
+}
+
+TEST(ExpmFrechetMulti, ScalarReplayIsBitwiseEqualAtQutritSuperopSize) {
+    if (!simd::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
+    // d = 9 is the 3-level open-system GRAPE generator (a qutrit
+    // Liouvillian): every design now runs this engine, so the scalar replay
+    // of the simd kernels must reproduce the AVX2 path bit for bit, across
+    // a low Pade order and the order-13 squaring branch.
+    for (double nrm : {0.2, 20.0}) {
+        const Mat a = with_norm(random_matrix(9, 141, 1.0), nrm);
+        const std::vector<Mat> dirs = {random_matrix(9, 142, 0.5), random_matrix(9, 143, 0.5)};
+        const auto [ea_cpu, ls_cpu] = expm_frechet_multi(a, dirs);
+        simd::force_scalar(true);
+        const auto [ea_scalar, ls_scalar] = expm_frechet_multi(a, dirs);
+        simd::force_scalar(false);
+        EXPECT_TRUE(ea_cpu.approx_equal(ea_scalar, 0.0)) << "norm=" << nrm;
+        for (std::size_t j = 0; j < dirs.size(); ++j) {
+            EXPECT_TRUE(ls_cpu[j].approx_equal(ls_scalar[j], 0.0))
+                << "norm=" << nrm << " dir=" << j;
+        }
+    }
 }
 
 TEST(ExpmFrechetMulti, ShapeMismatchThrows) {

@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "linalg/simd_kernels.hpp"
+
 namespace qoc::linalg {
 namespace {
 
@@ -85,6 +87,23 @@ TEST(Lu, PivotingHandlesZeroLeadingEntry) {
     const Mat x = solve(a, Mat::col_vector({cplx{3.0}, cplx{4.0}}));
     EXPECT_NEAR(std::abs(x(0, 0) - cplx{4.0}), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(x(1, 0) - cplx{3.0}), 0.0, 1e-12);
+}
+
+TEST(Lu, ScalarReplayIsBitwiseEqual) {
+    if (!simd::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
+    // The Pade denominator solve of every expm runs here; the scalar replay
+    // of the simd row updates must match the AVX2 path bit for bit, also on
+    // an odd right-hand-side width (the unpaired tail column).
+    const Lu f(random_matrix(9, 11));
+    for (std::size_t cols : {1ul, 7ul, 9ul}) {
+        const Mat b = random_matrix(9, 12).block(0, 0, 9, cols);
+        Mat x_cpu, x_scalar;
+        f.solve_into(b, x_cpu);
+        simd::force_scalar(true);
+        f.solve_into(b, x_scalar);
+        simd::force_scalar(false);
+        EXPECT_TRUE(x_cpu.approx_equal(x_scalar, 0.0)) << "cols=" << cols;
+    }
 }
 
 }  // namespace

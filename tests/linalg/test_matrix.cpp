@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+
+#include "obs/obs.hpp"
 
 namespace qoc::linalg {
 namespace {
@@ -144,6 +148,19 @@ TEST(Matrix, OneNormIsMaxColumnSum) {
     EXPECT_DOUBLE_EQ(m.norm_1(), 6.0);
 }
 
+TEST(Matrix, OneNormPropagatesNonFiniteEntries) {
+    // A NaN in any column must survive the max over column sums (std::max
+    // alone would drop it), so expm can reject the input.
+    for (std::size_t col : {0ul, 1ul}) {
+        Mat m{{1.0, -2.0}, {3.0, 4.0}};
+        m(1, col) = cplx{std::numeric_limits<double>::quiet_NaN(), 0.0};
+        EXPECT_TRUE(std::isnan(m.norm_1())) << "col=" << col;
+    }
+    Mat m{{1.0, -2.0}, {3.0, 4.0}};
+    m(0, 0) = cplx{0.0, std::numeric_limits<double>::infinity()};
+    EXPECT_TRUE(std::isinf(m.norm_1()));
+}
+
 TEST(Matrix, HermitianDetection) {
     Mat h{{2.0, cplx{1.0, 1.0}}, {cplx{1.0, -1.0}, 3.0}};
     EXPECT_TRUE(h.is_hermitian());
@@ -239,6 +256,31 @@ TEST(Matrix, GemvIntoRejectsBadShapes) {
     Mat a(3, 2), x_bad_rows(3, 1), x_not_vector(2, 2), out;
     EXPECT_THROW(gemv_into(a, x_bad_rows, out), std::invalid_argument);
     EXPECT_THROW(gemv_into(a, x_not_vector, out), std::invalid_argument);
+}
+
+TEST(Matrix, EachProductEntryPointCountsOneGemmCall) {
+    obs::reset_for_testing();
+    obs::enable_metrics("");  // in-memory counters only
+    const Mat a{{1.0, 2.0}, {3.0, 4.0}};
+    const Mat b{{0.5, 0.0}, {kI, 1.0}};
+    Mat out;
+    const auto gemms = [] { return obs::counter_value(obs::Cnt::kGemmCalls); };
+
+    std::uint64_t before = gemms();
+    gemm_into(a, b, out);
+    EXPECT_EQ(gemms() - before, 1u) << "gemm_into";
+    before = gemms();
+    const Mat prod = a * b;
+    EXPECT_EQ(gemms() - before, 1u) << "operator*";
+    EXPECT_TRUE(prod.approx_equal(out, 0.0));  // same kernel, same bits
+    before = gemms();
+    gemm_acc(a, b, out);
+    EXPECT_EQ(gemms() - before, 1u) << "gemm_acc";
+
+    const std::uint64_t gemvs = obs::counter_value(obs::Cnt::kGemvCalls);
+    gemv_into(a, b.col(0), out);
+    EXPECT_EQ(obs::counter_value(obs::Cnt::kGemvCalls) - gemvs, 1u);
+    obs::reset_for_testing();
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "pulse/channels.hpp"
 
 namespace qoc::pulse {
@@ -24,6 +26,17 @@ TEST(Waveform, RejectsEmptyAndOverUnit) {
     EXPECT_THROW(Waveform(std::vector<std::complex<double>>{{1.5, 0.0}}),
                  std::invalid_argument);
     EXPECT_NO_THROW(Waveform(std::vector<std::complex<double>>{{1.0, 0.0}}));
+}
+
+TEST(Waveform, RejectsNonFiniteSamples) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::complex<double>> bad = {{nan, 0.0}, {0.0, nan}, {inf, 0.0}};
+    for (const std::complex<double>& s : bad) {
+        EXPECT_THROW(Waveform(std::vector<std::complex<double>>{{0.1, 0.0}, s}),
+                     std::invalid_argument)
+            << s;
+    }
 }
 
 TEST(Waveform, GaussianShape) {

@@ -8,9 +8,10 @@
 ///     single-column paths.
 ///  2. Thread invariance: 1-vs-N task-pool sizes are bitwise identical even
 ///     though the auto block width depends on the pool size.
-///  3. Dense-vs-structured: forcing the legacy dense path (the
-///     `QOC_DENSE_SUPEROP` escape hatch) reproduces the batched curves to
-///     1e-12 -- the two engines differ only in floating-point association.
+///  3. Batched-vs-reference: the per-seed dense reference engine
+///     (rb_reference.hpp), replaying the same RNG streams, reproduces the
+///     batched curves to 1e-12 -- the two differ only in floating-point
+///     association.
 
 #include "rb/rb.hpp"
 
@@ -20,8 +21,8 @@
 
 #include "device/calibration.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/superop_structured.hpp"
 #include "rb/leakage_rb.hpp"
+#include "rb/rb_reference.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc::rb {
@@ -102,12 +103,10 @@ TEST(RbBatchedDeterminism, ThreadCountIsUnobservableDespiteAutoWidth) {
     }
 }
 
-TEST(RbBatchedDeterminism, DenseEscapeHatchAgreesToTolerance1Q) {
+TEST(RbBatchedDeterminism, PerSeedReferenceAgreesToTolerance1Q) {
     const RbOptions opts = small_opts();
     const RbCurve batched = run_rb_1q(exec(), gates1q(), 0, opts);
-    quantum::force_dense_superop(true);
-    const RbCurve dense = run_rb_1q(exec(), gates1q(), 0, opts);
-    quantum::clear_dense_superop_override();
+    const RbCurve dense = reference::rb_curve_1q(exec(), gates1q(), 0, opts);
 
     ASSERT_EQ(batched.points.size(), dense.points.size());
     for (std::size_t i = 0; i < batched.points.size(); ++i) {
@@ -117,13 +116,11 @@ TEST(RbBatchedDeterminism, DenseEscapeHatchAgreesToTolerance1Q) {
     EXPECT_NEAR(batched.epc, dense.epc, 1e-9);
 }
 
-TEST(RbBatchedDeterminism, DenseEscapeHatchAgreesToToleranceLeakage) {
+TEST(RbBatchedDeterminism, PerSeedReferenceAgreesToToleranceLeakage) {
     RbOptions opts = small_opts();
     opts.lengths = {1, 15, 30};
     const LeakageRbResult batched = run_leakage_rb_1q(exec(), gates1q(), opts);
-    quantum::force_dense_superop(true);
-    const LeakageRbResult dense = run_leakage_rb_1q(exec(), gates1q(), opts);
-    quantum::clear_dense_superop_override();
+    const LeakageRbResult dense = reference::leakage_rb_1q(exec(), gates1q(), opts);
 
     ASSERT_EQ(batched.leakage_population.size(), dense.leakage_population.size());
     for (std::size_t i = 0; i < batched.leakage_population.size(); ++i) {
@@ -149,7 +146,7 @@ TEST(RbBatchedDeterminism, LeakageSeedBlockWidthIsUnobservable) {
     }
 }
 
-TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithDense1Q) {
+TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithPerSeedReference1Q) {
     // IRB adds the broadcast interleave step (one apply_batch_into per
     // Clifford step for the whole block) on top of the mixed per-seed steps.
     const Mat x_super = exec().schedule_superop_1q(defaults().get("x", {0}), 0);
@@ -159,9 +156,7 @@ TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithDense1Q) {
     opts.seeds_per_length = 4;
 
     const IrbResult batched = run_irb_1q(exec(), gates1q(), 0, x_super, x_index, opts);
-    quantum::force_dense_superop(true);
-    const IrbResult dense = run_irb_1q(exec(), gates1q(), 0, x_super, x_index, opts);
-    quantum::clear_dense_superop_override();
+    const IrbResult dense = reference::irb_1q(exec(), gates1q(), 0, x_super, x_index, opts);
 
     for (std::size_t i = 0; i < batched.interleaved.points.size(); ++i) {
         EXPECT_NEAR(batched.interleaved.points[i].mean_survival,
