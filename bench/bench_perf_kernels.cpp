@@ -8,6 +8,7 @@
 #include <random>
 #include <vector>
 
+#include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "device/calibration.hpp"
 #include "experiments/design_pipeline.hpp"
@@ -19,6 +20,7 @@
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
 #include "rb/rb.hpp"
+#include "runtime/task_pool.hpp"
 #include "service/calibration_service.hpp"
 
 namespace {
@@ -49,21 +51,11 @@ void BM_ExpmBySize(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpmBySize)->Arg(2)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
 
-void BM_ExpmFrechet(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
-    const linalg::Mat e = linalg::cplx{0.0, -0.1} * random_hermitian(n, 8);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(linalg::expm_frechet(a, e));
-    }
-}
-BENCHMARK(BM_ExpmFrechet)->Arg(2)->Arg(4)->Arg(9)->Arg(16);
-
-// --- multi-direction Frechet: augmented reference vs shared engine ----------
+// --- multi-direction Frechet (the forward engine) ----------------------------
 //
-// Args are (N, m): matrix size and number of directions (= GRAPE controls).
-// The sweep covers the paper's single-qubit (N=3 transmon) and pair (N=9)
-// sizes with m = 2 and 4 controls.
+// Args are (N, m): matrix size and number of directions.  The sweep covers
+// the paper's single-qubit (N=3 transmon) and pair (N=9) sizes with m = 2
+// and 4 directions.
 
 std::vector<linalg::Mat> frechet_directions(std::size_t n, std::size_t m) {
     std::vector<linalg::Mat> dirs;
@@ -74,25 +66,8 @@ std::vector<linalg::Mat> frechet_directions(std::size_t n, std::size_t m) {
     return dirs;
 }
 
-/// Old GRAPE cost: one Van Loan 2Nx2N augmented expm per direction.
-void BM_ExpmFrechetAugmented(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto m = static_cast<std::size_t>(state.range(1));
-    const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
-    const auto dirs = frechet_directions(n, m);
-    for (auto _ : state) {
-        for (std::size_t j = 0; j < m; ++j) {
-            benchmark::DoNotOptimize(linalg::expm_frechet(a, dirs[j]));
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_ExpmFrechetAugmented)
-    ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
-
-/// New cost: e^A plus all m derivatives from one shared-intermediate call,
-/// with the workspace reused across iterations exactly as the GRAPE hot
-/// loop reuses it across slots (no allocation after the first iteration).
+/// e^A plus all m derivatives from one shared-intermediate call, with the
+/// workspace reused across iterations (no allocation after the first).
 void BM_ExpmFrechetMulti(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto m = static_cast<std::size_t>(state.range(1));
@@ -111,35 +86,64 @@ void BM_ExpmFrechetMulti(benchmark::State& state) {
 BENCHMARK(BM_ExpmFrechetMulti)
     ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
 
+// --- GRAPE objective + gradient ----------------------------------------------
+//
+// One `ControlProblem::objective` call per iteration on the paper's 3-level
+// transmon, 48 slots, at pool size 1 (the per-call work, without task-pool
+// hand-off).  Args are (slots, controls); the controls are taken in
+// order from X drive, Y drive, detuning (number operator) and a 1-2
+// transition drive, so the rows show how the cost grows with the control
+// count: one adjoint Frechet derivative per slot, whatever that count.
+
+std::vector<linalg::Mat> transmon_controls(std::size_t n_ctrl) {
+    linalg::Mat x12(3, 3);  // 1-2 transition drive
+    x12(1, 2) = 0.5;
+    x12(2, 1) = 0.5;
+    const std::vector<linalg::Mat> pool = {0.5 * quantum::drive_x(3), 0.5 * quantum::drive_y(3),
+                                           0.1 * quantum::number_op(3), x12};
+    return {pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(n_ctrl)};
+}
+
+void run_objective(benchmark::State& state, const control::GrapeProblem& prob) {
+    const runtime::ScopedPoolSize serial(1);
+    const control::ControlProblem cp(prob);
+    const std::vector<double> x = cp.flatten(prob.initial_amps);
+    std::vector<double> grad;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cp.objective(x, grad));
+        benchmark::DoNotOptimize(grad.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cp.n_ts()));
+}
+
+/// Closed system: 3x3 generators, kPsu on the qubit subspace.
 void BM_GrapeObjectiveClosed(benchmark::State& state) {
+    const auto n_ctrl = static_cast<std::size_t>(state.range(1));
     control::GrapeProblem prob;
     prob.system.drift = quantum::duffing_drift(3, 0.0, -2.0);
-    prob.system.ctrls = {0.5 * quantum::drive_x(3), 0.5 * quantum::drive_y(3)};
+    prob.system.ctrls = transmon_controls(n_ctrl);
     prob.target = quantum::gates::x();
     prob.subspace_isometry = quantum::qubit_isometry(3);
     prob.n_timeslots = static_cast<std::size_t>(state.range(0));
     prob.evo_time = 100.0;
-    prob.initial_amps.assign(prob.n_timeslots, {0.05, 0.01});
-    for (auto _ : state) {
-        // One full gradient-descent step = one objective + gradient eval.
-        benchmark::DoNotOptimize(control::grape_gradient_descent(prob, 0.0, 1));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
+    prob.initial_amps.assign(prob.n_timeslots, std::vector<double>(n_ctrl, 0.05));
+    run_objective(state, prob);
 }
-BENCHMARK(BM_GrapeObjectiveClosed)->Arg(16)->Arg(48)->Arg(128);
+BENCHMARK(BM_GrapeObjectiveClosed)->Args({48, 1})->Args({48, 2})->Args({48, 4});
 
-/// Open-system (Lindblad superoperator) objective + gradient on the paper's
-/// 3-level transmon: 9x9 generators, kTraceDiff fidelity.  This is the
-/// workload the `linalg::simd` kernel routing targets -- the expm/Frechet
-/// gemms and LU solves dominate here.
+/// Open system (Lindblad superoperator): 9x9 generators, kTraceDiff
+/// fidelity -- the expm/Frechet gemms and LU solves dominate here.
 void BM_GrapeObjectiveOpen(benchmark::State& state) {
+    const auto n_ctrl = static_cast<std::size_t>(state.range(1));
     control::GrapeProblem prob;
     const linalg::Mat h0 = quantum::duffing_drift(3, 0.0, -2.0);
     const std::vector<linalg::Mat> c_ops = {0.01 * quantum::annihilation(3),
                                             0.01 * quantum::number_op(3)};
     prob.system.drift = quantum::liouvillian(h0, c_ops);
-    prob.system.ctrls = {quantum::liouvillian_hamiltonian(0.5 * quantum::drive_x(3)),
-                         quantum::liouvillian_hamiltonian(0.5 * quantum::drive_y(3))};
+    for (const linalg::Mat& h : transmon_controls(n_ctrl)) {
+        prob.system.ctrls.push_back(quantum::liouvillian_hamiltonian(h));
+    }
     linalg::Mat x3(3, 3);  // X on the qubit subspace, identity on leakage
     x3(0, 1) = 1.0;
     x3(1, 0) = 1.0;
@@ -148,13 +152,10 @@ void BM_GrapeObjectiveOpen(benchmark::State& state) {
     prob.fidelity = control::FidelityType::kTraceDiff;
     prob.n_timeslots = static_cast<std::size_t>(state.range(0));
     prob.evo_time = 100.0;
-    prob.initial_amps.assign(prob.n_timeslots, {0.05, 0.01});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(control::grape_gradient_descent(prob, 0.0, 1));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
+    prob.initial_amps.assign(prob.n_timeslots, std::vector<double>(n_ctrl, 0.05));
+    run_objective(state, prob);
 }
-BENCHMARK(BM_GrapeObjectiveOpen)->Arg(16)->Arg(48)->Arg(128);
+BENCHMARK(BM_GrapeObjectiveOpen)->Args({48, 1})->Args({48, 2})->Args({48, 4});
 
 // --- structured superoperator apply: dense matvec vs factored/CSR -----------
 //

@@ -155,17 +155,24 @@ double ControlProblem::fid_err_of(const Mat& evo) const {
             return 1.0 - g.real() / norm_dim_;
         }
         case FidelityType::kTraceDiff: {
-            const Mat diff = prob_.target - evo;
-            const double fro = diff.frobenius_norm();
+            // ||target - evo||_F summed in place, in storage order.
+            if (evo.rows() != prob_.target.rows() || evo.cols() != prob_.target.cols()) {
+                throw std::invalid_argument("GRAPE: evolution shape mismatch");
+            }
+            const auto& t = prob_.target.data();
+            const auto& e = evo.data();
+            double sum = 0.0;
+            for (std::size_t i = 0; i < t.size(); ++i) sum += std::norm(t[i] - e[i]);
+            const double fro = std::sqrt(sum);
             return 0.5 * fro * fro / static_cast<double>(evo.rows());
         }
     }
     return 1.0;
 }
 
-/// Zero-alloc contract: per-slot propagators, Frechet derivatives, partial
-/// products and all expm intermediates live in evaluator-owned workspaces
-/// (leased per task from the workspace pool) that are reused across the
+/// Zero-alloc contract: the per-slot Pade states, partial products and all
+/// expm intermediates live in evaluator-owned workspaces (the scratch is
+/// leased per task from the workspace pool) that are reused across the
 /// thousands of L-BFGS-B evaluations; after the first call at a given
 /// problem shape the hot loop performs no heap allocation.  Results are
 /// bit-identical for any pool size: every slot's computation is independent
@@ -173,38 +180,41 @@ double ControlProblem::fid_err_of(const Mat& evo) const {
 double ControlProblem::objective(const std::vector<double>& x,
                                  std::vector<double>& grad) const {
     obs::Span span("grape.objective");
-    props_.resize(n_ts_);
-    dprops_.resize(n_ts_ * n_ctrl_);
+    const std::size_t dim = prob_.system.drift.rows();
+    slots_.resize(n_ts_);
 
-    // Per-slot propagators and their control derivatives: e^A and every
-    // L(A, E_j) from ONE shared-intermediate call per slot (the old code
-    // paid one augmented 2Nx2N expm per control and threw away all but
-    // the first propagator).
-    runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
-        auto lease = scratch_pool_.acquire();
-        EvalScratch& sc = *lease;
-        slot_exponent_into(&x[k * n_ctrl_], sc.gen);
-        linalg::expm_frechet_multi(sc.gen, exp_dirs_.data(), n_ctrl_, props_[k],
-                                   &dprops_[k * n_ctrl_], sc.ws);
-    });
-
-    // Forward partial products fwd[k] = P_k ... P_0 and backward
-    // products bwd[k] = P_{N-1} ... P_{k+1}, into reused storage.
+    // Phase 1 -- propagate: e^{A_k} per slot, keeping each slot's Pade state
+    // for the adjoint derivative, then the forward partial products
+    // fwd[k] = P_k ... P_0 and backward products bwd[k] = P_{N-1} ... P_{k+1}.
     fwd_.resize(n_ts_);
     bwd_.resize(n_ts_);
-    fwd_[0] = props_[0];
-    for (std::size_t k = 1; k < n_ts_; ++k) linalg::gemm_into(props_[k], fwd_[k - 1], fwd_[k]);
-    const std::size_t dim = prob_.system.drift.rows();
-    bwd_[n_ts_ - 1].resize(dim, dim);
-    for (std::size_t i = 0; i < dim; ++i) bwd_[n_ts_ - 1](i, i) = cplx{1.0, 0.0};
-    for (std::size_t k = n_ts_ - 1; k-- > 0;) {
-        linalg::gemm_into(bwd_[k + 1], props_[k + 1], bwd_[k]);
+    {
+        obs::Span phase("grape.propagate");
+        runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
+            auto lease = scratch_pool_.acquire();
+            EvalScratch& sc = *lease;
+            slot_exponent_into(&x[k * n_ctrl_], sc.gen);
+            linalg::expm_retain(sc.gen, slots_[k], sc.ws);
+        });
+        fwd_[0] = slots_[0].exp();
+        for (std::size_t k = 1; k < n_ts_; ++k) {
+            linalg::gemm_into(slots_[k].exp(), fwd_[k - 1], fwd_[k]);
+        }
+        bwd_[n_ts_ - 1].resize(dim, dim);
+        for (std::size_t i = 0; i < dim; ++i) bwd_[n_ts_ - 1](i, i) = cplx{1.0, 0.0};
+        for (std::size_t k = n_ts_ - 1; k-- > 0;) {
+            linalg::gemm_into(bwd_[k + 1], slots_[k + 1].exp(), bwd_[k]);
+        }
     }
 
     const Mat& evo = fwd_.back();
     const double err = fid_err_of(evo);
 
-    // Cost-side matrix C such that d(val)/du = Tr((fwd_{k-1} C bwd_k) dP).
+    // Phase 2 -- adjoint derivative.  With the cost-side matrix C and
+    // R_k = fwd_{k-1} C bwd_k, d(val)/du_kj = Tr(R_k L(A_k, E_j)), which
+    // equals Tr(L(A_k, R_k) E_j): one Frechet derivative per slot serves
+    // every control.
+    obs::Span phase("grape.gradient");
     cplx g_overlap{0.0, 0.0};
     if (prob_.fidelity == FidelityType::kTraceDiff) {
         c_adj_.resize(dim, dim);
@@ -230,8 +240,9 @@ double ControlProblem::objective(const std::vector<double>& x,
             linalg::gemm_into(fwd_[k - 1], sc.tmp, sc.prop);
             r = &sc.prop;
         }
+        linalg::expm_frechet_adjoint(slots_[k], *r, sc.adj, sc.ws);
         for (std::size_t j = 0; j < n_ctrl_; ++j) {
-            const cplx dg = linalg::trace_of_product(*r, dprops_[k * n_ctrl_ + j]);
+            const cplx dg = linalg::trace_of_product(sc.adj, exp_dirs_[j]);
             double derr = 0.0;
             switch (prob_.fidelity) {
                 case FidelityType::kPsu:

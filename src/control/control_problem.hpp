@@ -5,8 +5,8 @@
 ///
 /// Wraps a `GrapeProblem` (the common PWC problem statement) and exposes the
 /// primitives an optimizer needs: slot exponents, final evolution, fidelity
-/// error, and the exact objective gradient via shared-intermediate Frechet
-/// derivatives.  Validation, subspace/state-transfer overlap handling and
+/// error, and the exact objective gradient via one adjoint Frechet
+/// derivative per slot.  Validation, subspace/state-transfer overlap handling and
 /// the fidelity formulas live HERE once, instead of being re-derived per
 /// front end.
 ///
@@ -93,11 +93,12 @@ public:
 
 private:
     /// Per-task scratch: the expm engine workspace plus the slot/gradient
-    /// temporaries.  Shapes stabilize after the first objective call, so
-    /// reuse is allocation-free.
+    /// temporaries (`adj` is a slot's adjoint derivative L(A_k, R_k)).
+    /// Shapes stabilize after the first objective call, so reuse is
+    /// allocation-free.
     struct EvalScratch {
         linalg::ExpmWorkspace ws;
-        Mat gen, prop, tmp;
+        Mat gen, prop, tmp, adj;
     };
 
     GrapeProblem prob_;
@@ -112,8 +113,7 @@ private:
     // Reusable evaluation workspace (mutable: objective() is logically
     // const; these caches never change observable results).
     mutable runtime::WorkspacePool<EvalScratch> scratch_pool_;
-    mutable std::vector<Mat> props_;   ///< per-slot propagators
-    mutable std::vector<Mat> dprops_;  ///< [slot * n_ctrl + ctrl] Frechet derivatives
+    mutable std::vector<linalg::PadeState> slots_;  ///< per-slot Pade state; exp() = P_k
     mutable std::vector<Mat> fwd_, bwd_;
     mutable Mat c_adj_;
 };

@@ -8,8 +8,9 @@
 ///   H(t) = H_0 + sum_j u_j(t) H_j   (closed)  or
 ///   L(t) = L_0 + sum_j u_j(t) L_j   (open, Liouvillian form),
 /// minimizing the gate infidelity against a target unitary (closed) or
-/// target superoperator (open).  Gradients are exact: each slot propagator's
-/// directional derivative comes from the Van Loan augmented exponential.
+/// target superoperator (open).  Gradients are exact: per slot, one adjoint
+/// Frechet derivative of the Pade exponential along the back-propagated
+/// cost matrix gives every control's entry (control_problem.hpp).
 
 #pragma once
 

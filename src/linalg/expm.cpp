@@ -77,16 +77,40 @@ void add_diag(Mat& m, double c) {
     for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += cplx{c, 0.0};
 }
 
-/// `out = c * x`, reusing out's storage.
-void set_scaled(Mat& out, const Mat& x, double c) {
-    out = x;
-    out *= c;
+/// One real-coefficient multi-term pass: `y = c_0 x_0 + ... + c_{t-1} x_{t-1}`,
+/// or `y += ...` when `accumulate`, in one sweep over the entries.  Per
+/// entry the terms are committed left to right, each as a real multiply
+/// then a separate add (no fma), which is the rounding of the chain of
+/// `y += c_t * x_t` axpys it stands for.
+void lincomb(Mat& y, bool accumulate, const double* c, const Mat* const* x,
+             std::size_t terms) {
+    assert(terms >= 1 && terms <= 4);
+    if (!accumulate) y.resize(x[0]->rows(), x[0]->cols());
+    const std::size_t len = 2 * y.size();
+    auto* yd = reinterpret_cast<double*>(y.data().data());
+    const double* xd[4] = {};
+    for (std::size_t t = 0; t < terms; ++t) {
+        xd[t] = reinterpret_cast<const double*>(x[t]->data().data());
+    }
+    const std::size_t t0 = accumulate ? 0 : 1;
+    for (std::size_t e = 0; e < len; ++e) {
+        double acc = accumulate ? yd[e] : c[0] * xd[0][e];
+        for (std::size_t t = t0; t < terms; ++t) acc = acc + c[t] * xd[t][e];
+        yd[e] = acc;
+    }
 }
 
-/// Shared-Pade multi-direction Frechet core (see expm.hpp).  With
-/// `n_dirs == 0` this is a plain workspace expm.
-void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                        Mat* frechet_out, ExpmWorkspace& ws) {
+/// `y (+)= c6 x6 + c4 x4 + c2 x2`: the three-term sums of the order-13
+/// factored polynomials and of their derivatives.
+void lincomb3(Mat& y, bool accumulate, double c6, const Mat& x6, double c4, const Mat& x4,
+              double c2, const Mat& x2) {
+    const double c[3] = {c6, c4, c2};
+    const Mat* x[3] = {&x6, &x4, &x2};
+    lincomb(y, accumulate, c, x, 3);
+}
+
+/// Forward Pade evaluation: fills every field of `st`, `st.exp()` = e^A.
+void pade_forward(const Mat& a, PadeState& st, ExpmWorkspace& ws) {
     const std::size_t n = a.rows();
     int s = 0;
     const int m = choose_pade_order(a.norm_1(), s);
@@ -97,143 +121,133 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         case 9: obs::count(obs::Cnt::kExpmPade9); break;
         default: obs::count(obs::Cnt::kExpmPade13); break;
     }
-    const double sf = std::ldexp(1.0, -s);
+    st.order = m;
+    st.squarings = s;
     const double* b = pade_table(m);
 
-    ws.as = a;
-    if (s > 0) ws.as *= sf;
-    const Mat& as = ws.as;
+    st.as = a;
+    if (s > 0) st.as *= std::ldexp(1.0, -s);
+    const Mat& as = st.as;
 
     // Shared even powers: pows[k] = As^{2k}.  Order 13 needs A^2/A^4/A^6 for
     // the factored polynomials; orders 3..9 need A^2 .. A^{m-1} directly.
     const std::size_t kmax = (m == 13) ? 3 : static_cast<std::size_t>(m - 1) / 2;
-    if (ws.pows.size() < kmax + 1) ws.pows.resize(kmax + 1);
-    gemm_into(as, as, ws.pows[1]);
-    for (std::size_t k = 2; k <= kmax; ++k) gemm_into(ws.pows[k - 1], ws.pows[1], ws.pows[k]);
+    if (st.pows.size() < kmax + 1) st.pows.resize(kmax + 1);
+    gemm_into(as, as, st.pows[1]);
+    for (std::size_t k = 2; k <= kmax; ++k) gemm_into(st.pows[k - 1], st.pows[1], st.pows[k]);
 
-    // Shared U = A * (odd poly), V = even poly.
+    // U = A * (odd poly), V = even poly.
     if (m == 13) {
-        const Mat& a2 = ws.pows[1];
-        const Mat& a4 = ws.pows[2];
-        const Mat& a6 = ws.pows[3];
+        const Mat& a2 = st.pows[1];
+        const Mat& a4 = st.pows[2];
+        const Mat& a6 = st.pows[3];
         // w1 = b13 A6 + b11 A4 + b9 A2 ; w = A6 w1 + b7 A6 + b5 A4 + b3 A2 + b1 I
-        set_scaled(ws.w1, a6, b[13]);
-        add_scaled(ws.w1, cplx{b[11]}, a4);
-        add_scaled(ws.w1, cplx{b[9]}, a2);
-        gemm_into(a6, ws.w1, ws.w);
-        add_scaled(ws.w, cplx{b[7]}, a6);
-        add_scaled(ws.w, cplx{b[5]}, a4);
-        add_scaled(ws.w, cplx{b[3]}, a2);
-        add_diag(ws.w, b[1]);
-        gemm_into(as, ws.w, ws.u);
+        lincomb3(st.w1, false, b[13], a6, b[11], a4, b[9], a2);
+        gemm_into(a6, st.w1, st.w);
+        lincomb3(st.w, true, b[7], a6, b[5], a4, b[3], a2);
+        add_diag(st.w, b[1]);
+        gemm_into(as, st.w, ws.u);
         // z1 = b12 A6 + b10 A4 + b8 A2 ; V = A6 z1 + b6 A6 + b4 A4 + b2 A2 + b0 I
-        set_scaled(ws.z1, a6, b[12]);
-        add_scaled(ws.z1, cplx{b[10]}, a4);
-        add_scaled(ws.z1, cplx{b[8]}, a2);
-        gemm_into(a6, ws.z1, ws.v);
-        add_scaled(ws.v, cplx{b[6]}, a6);
-        add_scaled(ws.v, cplx{b[4]}, a4);
-        add_scaled(ws.v, cplx{b[2]}, a2);
+        lincomb3(st.z1, false, b[12], a6, b[10], a4, b[8], a2);
+        gemm_into(a6, st.z1, ws.v);
+        lincomb3(ws.v, true, b[6], a6, b[4], a4, b[2], a2);
         add_diag(ws.v, b[0]);
     } else {
-        ws.usum.resize(n, n);
-        ws.v.resize(n, n);
-        add_diag(ws.usum, b[1]);
-        add_diag(ws.v, b[0]);
+        double cu[4] = {}, cv[4] = {};
+        const Mat* p[4] = {};
         for (std::size_t k = 1; k <= kmax; ++k) {
-            add_scaled(ws.usum, cplx{b[2 * k + 1]}, ws.pows[k]);
-            add_scaled(ws.v, cplx{b[2 * k]}, ws.pows[k]);
+            cu[k - 1] = b[2 * k + 1];
+            cv[k - 1] = b[2 * k];
+            p[k - 1] = &st.pows[k];
         }
-        gemm_into(as, ws.usum, ws.u);
+        st.usum.resize(n, n);
+        ws.v.resize(n, n);
+        add_diag(st.usum, b[1]);
+        add_diag(ws.v, b[0]);
+        lincomb(st.usum, true, cu, p, kmax);
+        lincomb(ws.v, true, cv, p, kmax);
+        gemm_into(as, st.usum, ws.u);
     }
 
-    // r = (V - U)^{-1} (V + U); one LU shared by every direction.
+    // r = (V - U)^{-1} (V + U), then its repeated squares.
     ws.t1 = ws.v;
     ws.t1 -= ws.u;
     ws.t2 = ws.v;
     ws.t2 += ws.u;
-    ws.fact.factor(ws.t1);
-    ws.fact.solve_into(ws.t2, ws.r);
+    st.fact.factor(ws.t1);
+    const auto n_sq = static_cast<std::size_t>(s) + 1;
+    if (st.squares.size() < n_sq) st.squares.resize(n_sq);
+    st.fact.solve_into(ws.t2, st.squares[0]);
+    for (std::size_t i = 1; i < n_sq; ++i) {
+        gemm_into(st.squares[i - 1], st.squares[i - 1], st.squares[i]);
+    }
+}
 
-    // Per-direction derivative polynomials against the shared intermediates.
-    for (std::size_t d = 0; d < n_dirs; ++d) {
-        ws.es = dirs[d];
-        if (s > 0) ws.es *= sf;
-        const Mat& es = ws.es;
-        // M2 = A E + E A (all in the scaled variables).
-        gemm_into(as, es, ws.m2);
-        gemm_acc(es, as, ws.m2);
-        if (m == 13) {
-            const Mat& a2 = ws.pows[1];
-            const Mat& a4 = ws.pows[2];
-            const Mat& a6 = ws.pows[3];
-            // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
-            gemm_into(a2, ws.m2, ws.m4);
-            gemm_acc(ws.m2, a2, ws.m4);
-            gemm_into(ws.m4, a2, ws.m6);
-            gemm_acc(a4, ws.m2, ws.m6);
-            // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
-            //         + b7 M6 + b5 M4 + b3 M2) + E*w
-            set_scaled(ws.lw1, ws.m6, b[13]);
-            add_scaled(ws.lw1, cplx{b[11]}, ws.m4);
-            add_scaled(ws.lw1, cplx{b[9]}, ws.m2);
-            gemm_into(ws.m6, ws.w1, ws.lw);
-            gemm_acc(a6, ws.lw1, ws.lw);
-            add_scaled(ws.lw, cplx{b[7]}, ws.m6);
-            add_scaled(ws.lw, cplx{b[5]}, ws.m4);
-            add_scaled(ws.lw, cplx{b[3]}, ws.m2);
-            gemm_into(as, ws.lw, ws.lu_m);
-            gemm_acc(es, ws.w, ws.lu_m);
-            // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
-            set_scaled(ws.lw1, ws.m6, b[12]);
-            add_scaled(ws.lw1, cplx{b[10]}, ws.m4);
-            add_scaled(ws.lw1, cplx{b[8]}, ws.m2);
-            gemm_into(ws.m6, ws.z1, ws.lv_m);
-            gemm_acc(a6, ws.lw1, ws.lv_m);
-            add_scaled(ws.lv_m, cplx{b[6]}, ws.m6);
-            add_scaled(ws.lv_m, cplx{b[4]}, ws.m4);
-            add_scaled(ws.lv_m, cplx{b[2]}, ws.m2);
-        } else {
-            // M_{2k} = M_{2(k-1)} A2 + A^{2(k-1)} M2, accumulated into the
-            // odd/even derivative sums.
-            ws.lusum.resize(n, n);
-            ws.lv_m.resize(n, n);
-            for (std::size_t k = 1; k <= kmax; ++k) {
-                if (k == 1) {
-                    ws.mcur = ws.m2;
-                } else {
-                    gemm_into(ws.mprev, ws.pows[1], ws.mcur);
-                    gemm_acc(ws.pows[k - 1], ws.m2, ws.mcur);
-                }
-                add_scaled(ws.lusum, cplx{b[2 * k + 1]}, ws.mcur);
-                add_scaled(ws.lv_m, cplx{b[2 * k]}, ws.mcur);
-                std::swap(ws.mprev, ws.mcur);
+/// `out = L_r(A_s, es)`: the Frechet derivative of the Pade approximant at
+/// the scaled generator along an already scaled direction `es`.  `es` must
+/// not alias any workspace buffer other than `ws.es`.
+void pade_derivative(const PadeState& st, const Mat& es, Mat& out, ExpmWorkspace& ws) {
+    const std::size_t n = st.as.rows();
+    const int m = st.order;
+    const double* b = pade_table(m);
+    const Mat& as = st.as;
+    // M2 = A E + E A (all in the scaled variables).
+    gemm_into(as, es, ws.m2);
+    gemm_acc(es, as, ws.m2);
+    if (m == 13) {
+        const Mat& a2 = st.pows[1];
+        const Mat& a4 = st.pows[2];
+        const Mat& a6 = st.pows[3];
+        // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
+        gemm_into(a2, ws.m2, ws.m4);
+        gemm_acc(ws.m2, a2, ws.m4);
+        gemm_into(ws.m4, a2, ws.m6);
+        gemm_acc(a4, ws.m2, ws.m6);
+        // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
+        //         + b7 M6 + b5 M4 + b3 M2) + E*w
+        lincomb3(ws.lw1, false, b[13], ws.m6, b[11], ws.m4, b[9], ws.m2);
+        gemm_into(ws.m6, st.w1, ws.lw);
+        gemm_acc(a6, ws.lw1, ws.lw);
+        lincomb3(ws.lw, true, b[7], ws.m6, b[5], ws.m4, b[3], ws.m2);
+        gemm_into(as, ws.lw, ws.lu_m);
+        gemm_acc(es, st.w, ws.lu_m);
+        // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
+        lincomb3(ws.lw1, false, b[12], ws.m6, b[10], ws.m4, b[8], ws.m2);
+        gemm_into(ws.m6, st.z1, ws.lv_m);
+        gemm_acc(a6, ws.lw1, ws.lv_m);
+        lincomb3(ws.lv_m, true, b[6], ws.m6, b[4], ws.m4, b[2], ws.m2);
+    } else {
+        // M_{2k} = M_{2(k-1)} A2 + A^{2(k-1)} M2, summed into the odd/even
+        // derivative polynomials.
+        const std::size_t kmax = static_cast<std::size_t>(m - 1) / 2;
+        if (ws.mk.size() < kmax + 1) ws.mk.resize(kmax + 1);
+        double cu[4] = {}, cv[4] = {};
+        const Mat* mk[4] = {};
+        for (std::size_t k = 1; k <= kmax; ++k) {
+            if (k > 1) {
+                gemm_into(*mk[k - 2], st.pows[1], ws.mk[k]);
+                gemm_acc(st.pows[k - 1], ws.m2, ws.mk[k]);
             }
-            // Lu = E * usum + A * lusum.
-            gemm_into(es, ws.usum, ws.lu_m);
-            gemm_acc(as, ws.lusum, ws.lu_m);
+            mk[k - 1] = (k == 1) ? &ws.m2 : &ws.mk[k];
+            cu[k - 1] = b[2 * k + 1];
+            cv[k - 1] = b[2 * k];
         }
-        // (V - U) L = Lu + Lv - (Lv - Lu) r, reusing the shared LU.
-        ws.t2 = ws.lv_m;
-        ws.t2 -= ws.lu_m;
-        ws.rhs = ws.lu_m;
-        ws.rhs += ws.lv_m;
-        gemm_into(ws.t2, ws.r, ws.t1);
-        ws.rhs -= ws.t1;
-        ws.fact.solve_into(ws.rhs, frechet_out[d]);
+        ws.lusum.resize(n, n);
+        ws.lv_m.resize(n, n);
+        lincomb(ws.lusum, true, cu, mk, kmax);
+        lincomb(ws.lv_m, true, cv, mk, kmax);
+        // Lu = E * usum + A * lusum.
+        gemm_into(es, st.usum, ws.lu_m);
+        gemm_acc(as, ws.lusum, ws.lu_m);
     }
-
-    // Squaring phase: L <- rL + Lr for every direction, then r <- r^2.
-    for (int step = 0; step < s; ++step) {
-        for (std::size_t d = 0; d < n_dirs; ++d) {
-            gemm_into(ws.r, frechet_out[d], ws.t1);
-            gemm_acc(frechet_out[d], ws.r, ws.t1);
-            std::swap(frechet_out[d], ws.t1);
-        }
-        gemm_into(ws.r, ws.r, ws.t1);
-        std::swap(ws.r, ws.t1);
-    }
-    exp_out = ws.r;
+    // (V - U) L = Lu + Lv - (Lv - Lu) r, through the stored LU.
+    ws.t2 = ws.lv_m;
+    ws.t2 -= ws.lu_m;
+    ws.rhs = ws.lu_m;
+    ws.rhs += ws.lv_m;
+    gemm_into(ws.t2, st.squares[0], ws.t1);
+    ws.rhs -= ws.t1;
+    st.fact.solve_into(ws.rhs, out);
 }
 
 }  // namespace
@@ -246,19 +260,6 @@ Mat expm(const Mat& a) {
     return out;
 }
 
-std::pair<Mat, Mat> expm_frechet(const Mat& a, const Mat& e) {
-    if (!a.is_square() || a.rows() != e.rows() || a.cols() != e.cols()) {
-        throw std::invalid_argument("expm_frechet: shape mismatch");
-    }
-    const std::size_t n = a.rows();
-    Mat aug(2 * n, 2 * n);
-    aug.set_block(0, 0, a);
-    aug.set_block(0, n, e);
-    aug.set_block(n, n, a);
-    const Mat big = expm(aug);
-    return {big.block(0, 0, n, n), big.block(0, n, n, n)};
-}
-
 void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
                         Mat* frechet_out, ExpmWorkspace& ws) {
     if (!a.is_square()) throw std::invalid_argument("expm_frechet_multi: non-square matrix");
@@ -268,7 +269,22 @@ void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         }
     }
     assert(n_dirs == 0 || frechet_out != nullptr);
-    pade_frechet_multi(a, dirs, n_dirs, exp_out, frechet_out, ws);
+    PadeState& st = ws.pade;
+    pade_forward(a, st, ws);
+    const double sf = std::ldexp(1.0, -st.squarings);
+    for (std::size_t d = 0; d < n_dirs; ++d) {
+        ws.es = dirs[d];
+        if (st.squarings > 0) ws.es *= sf;
+        pade_derivative(st, ws.es, frechet_out[d], ws);
+        // Squaring phase: L <- r_i L + L r_i.
+        for (int i = 0; i < st.squarings; ++i) {
+            const Mat& ri = st.squares[static_cast<std::size_t>(i)];
+            gemm_into(ri, frechet_out[d], ws.t1);
+            gemm_acc(frechet_out[d], ri, ws.t1);
+            std::swap(frechet_out[d], ws.t1);
+        }
+    }
+    exp_out = st.exp();
 }
 
 std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a,
@@ -282,6 +298,29 @@ std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a,
 
 void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws) {
     expm_frechet_multi(a, nullptr, 0, out, nullptr, ws);
+}
+
+void expm_retain(const Mat& a, PadeState& state, ExpmWorkspace& ws) {
+    if (!a.is_square()) throw std::invalid_argument("expm_retain: non-square matrix");
+    pade_forward(a, state, ws);
+}
+
+void expm_frechet_adjoint(const PadeState& state, const Mat& r, Mat& out,
+                          ExpmWorkspace& ws) {
+    if (r.rows() != state.as.rows() || r.cols() != state.as.cols()) {
+        throw std::invalid_argument("expm_frechet_adjoint: shape mismatch");
+    }
+    assert(&out != &r);
+    // G <- r_i G + G r_i for i = s-1 .. 0, starting from G = R.
+    ws.es = r;
+    for (int i = state.squarings; i-- > 0;) {
+        const Mat& ri = state.squares[static_cast<std::size_t>(i)];
+        gemm_into(ri, ws.es, ws.t1);
+        gemm_acc(ws.es, ri, ws.t1);
+        std::swap(ws.es, ws.t1);
+    }
+    if (state.squarings > 0) ws.es *= std::ldexp(1.0, -state.squarings);
+    pade_derivative(state, ws.es, out, ws);
 }
 
 }  // namespace qoc::linalg

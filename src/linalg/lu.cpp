@@ -75,25 +75,9 @@ void Lu::solve_into(const Mat& b, Mat& x) const {
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < m; ++j) x(i, j) = b(piv_[i], j);
 
-    // Forward substitution (L has unit diagonal).  Each row update is one
-    // simd axpy over the right-hand-side columns.
-    for (std::size_t i = 1; i < n; ++i)
-        for (std::size_t k = 0; k < i; ++k) {
-            const cplx lik = lu_(i, k);
-            if (lik == cplx{0.0, 0.0}) continue;
-            simd::row_sub_scaled(&x(i, 0), &x(k, 0), lik, m);
-        }
-
-    // Back substitution.
-    for (std::size_t ii = n; ii-- > 0;) {
-        for (std::size_t k = ii + 1; k < n; ++k) {
-            const cplx uik = lu_(ii, k);
-            if (uik == cplx{0.0, 0.0}) continue;
-            simd::row_sub_scaled(&x(ii, 0), &x(k, 0), uik, m);
-        }
-        const cplx d = lu_(ii, ii);
-        for (std::size_t j = 0; j < m; ++j) x(ii, j) /= d;
-    }
+    // Forward then back substitution, one kernel call vectorized over the
+    // right-hand-side columns.
+    simd::lu_substitute(lu_.data().data(), n, x.data().data(), m);
 }
 
 Mat Lu::inverse() const { return solve(Mat::identity(lu_.rows())); }

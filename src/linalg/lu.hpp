@@ -41,9 +41,9 @@ public:
     Mat solve(const Mat& b) const;
 
     /// Solves `A x = b` into a caller-owned matrix (allocation-free on shape
-    /// reuse).  `x` must not alias `b`.  The row updates of both
-    /// substitutions run through `simd::row_sub_scaled`, vectorized over the
-    /// right-hand-side columns.
+    /// reuse).  `x` must not alias `b`.  Both substitutions run as one
+    /// `simd::lu_substitute` call, vectorized over the right-hand-side
+    /// columns.
     void solve_into(const Mat& b, Mat& x) const;
 
     /// Inverse of the original matrix.

@@ -3,9 +3,9 @@
 ///
 /// Quantum-control workloads in this library manipulate small dense complex
 /// matrices (Hamiltonians up to ~9x9, Liouvillian superoperators up to
-/// ~81x81, Van Loan augmented blocks up to ~162x162).  A purpose-built dense
-/// type with value semantics keeps the numerics transparent and dependency
-/// free; throughput-critical parallelism lives at the ensemble level
+/// ~81x81).  A purpose-built dense type with value semantics keeps the
+/// numerics transparent and dependency free; throughput-critical
+/// parallelism lives at the ensemble level
 /// (randomized-benchmarking sequences, parameter sweeps), not inside these
 /// kernels.
 

@@ -94,8 +94,27 @@ void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
     }
 }
 
-void row_sub_scaled_scalar(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept {
-    for (std::size_t j = 0; j < n; ++j) cfms(xi[j], l, xk[j]);
+void lu_substitute_scalar(const cplx* lu, std::size_t n, cplx* x, std::size_t m) noexcept {
+    for (std::size_t i = 1; i < n; ++i) {
+        cplx* xi = x + i * m;
+        for (std::size_t k = 0; k < i; ++k) {
+            const cplx l = lu[i * n + k];
+            if (l == cplx{0.0, 0.0}) continue;
+            const cplx* xk = x + k * m;
+            for (std::size_t j = 0; j < m; ++j) cfms(xi[j], l, xk[j]);
+        }
+    }
+    for (std::size_t i = n; i-- > 0;) {
+        cplx* xi = x + i * m;
+        for (std::size_t k = i + 1; k < n; ++k) {
+            const cplx u = lu[i * n + k];
+            if (u == cplx{0.0, 0.0}) continue;
+            const cplx* xk = x + k * m;
+            for (std::size_t j = 0; j < m; ++j) cfms(xi[j], u, xk[j]);
+        }
+        const cplx d = lu[i * n + i];
+        for (std::size_t j = 0; j < m; ++j) xi[j] /= d;
+    }
 }
 
 #if defined(QOC_HAVE_AVX2_PATH)
@@ -299,20 +318,89 @@ __attribute__((target("avx2,fma"))) void csr_gemm_raw_avx2(const cplx* vals, con
     }
 }
 
-__attribute__((target("avx2,fma"))) void row_sub_scaled_avx2(cplx* xi, const cplx* xk, cplx l,
-                                                             std::size_t n) noexcept {
-    const std::size_t n2 = n & ~std::size_t{1};
+/// Row `x_i` minus `l * x_k` on one column chunk held in registers: JV
+/// packed vectors plus an optional odd tail column.
+template <int JV, bool TAIL>
+__attribute__((target("avx2,fma"))) inline void lu_row_sub(__m256d* acc, cplx& tacc, cplx l,
+                                                           const cplx* xk) noexcept {
     const __m256d lr = _mm256_set1_pd(l.real());
     const __m256d li = _mm256_set1_pd(l.imag());
-    auto* xd = reinterpret_cast<double*>(xi);
     const auto* kd = reinterpret_cast<const double*>(xk);
-    for (std::size_t j = 0; j < n2; j += 2) {
-        const __m256d v = _mm256_loadu_pd(kd + 2 * j);
-        const __m256d swapped = _mm256_permute_pd(v, 0b0101);
-        const __m256d prod = _mm256_fmaddsub_pd(v, lr, _mm256_mul_pd(swapped, li));
-        _mm256_storeu_pd(xd + 2 * j, _mm256_sub_pd(_mm256_loadu_pd(xd + 2 * j), prod));
+    for (int v = 0; v < JV; ++v) {
+        const __m256d w = _mm256_loadu_pd(kd + 4 * v);
+        const __m256d swapped = _mm256_permute_pd(w, 0b0101);
+        acc[v] = _mm256_sub_pd(acc[v], _mm256_fmaddsub_pd(w, lr, _mm256_mul_pd(swapped, li)));
     }
-    if (n2 != n) cfms(xi[n2], l, xk[n2]);
+    if (TAIL) cfms(tacc, l, xk[2 * JV]);
+}
+
+/// One column chunk of the fused LU substitution: row i of the chunk lives
+/// in up to JV 256-bit accumulators (plus an optional odd tail column)
+/// while every earlier (forward) or later (backward) row is subtracted from
+/// it, so each row is loaded and stored once per pass instead of once per
+/// row pair.  Each element still takes `x_i -= l * x_k` over ascending k,
+/// skipping zero factors, exactly as a sequence of per-row-pair updates.
+template <int JV, bool TAIL>
+__attribute__((target("avx2,fma"))) void lu_chunk_avx2(const cplx* lu, std::size_t n, cplx* x,
+                                                       std::size_t m, std::size_t j0) noexcept {
+    __m256d acc[JV > 0 ? JV : 1];
+    cplx tacc{0.0, 0.0};
+    for (std::size_t pass = 0; pass < 2; ++pass) {
+        const bool forward = pass == 0;
+        for (std::size_t r = forward ? 1 : 0; r < n; ++r) {
+            const std::size_t i = forward ? r : n - 1 - r;
+            cplx* xi = x + i * m + j0;
+            auto* xd = reinterpret_cast<double*>(xi);
+            for (int v = 0; v < JV; ++v) acc[v] = _mm256_loadu_pd(xd + 4 * v);
+            if (TAIL) tacc = xi[2 * JV];
+            const std::size_t k0 = forward ? 0 : i + 1;
+            const std::size_t k1 = forward ? i : n;
+            for (std::size_t k = k0; k < k1; ++k) {
+                const cplx l = lu[i * n + k];
+                if (l == cplx{0.0, 0.0}) continue;
+                lu_row_sub<JV, TAIL>(acc, tacc, l, x + k * m + j0);
+            }
+            for (int v = 0; v < JV; ++v) _mm256_storeu_pd(xd + 4 * v, acc[v]);
+            if (TAIL) xi[2 * JV] = tacc;
+            if (!forward) {
+                const cplx d = lu[i * n + i];
+                for (std::size_t j = 0; j < 2 * JV + (TAIL ? 1 : 0); ++j) xi[j] /= d;
+            }
+        }
+    }
+}
+
+template <bool TAIL>
+__attribute__((target("avx2,fma"))) void lu_chunk_dispatch(const cplx* lu, std::size_t n,
+                                                           cplx* x, std::size_t m,
+                                                           std::size_t j0,
+                                                           std::size_t jv) noexcept {
+    switch (jv) {
+        case 0: lu_chunk_avx2<0, TAIL>(lu, n, x, m, j0); break;
+        case 1: lu_chunk_avx2<1, TAIL>(lu, n, x, m, j0); break;
+        case 2: lu_chunk_avx2<2, TAIL>(lu, n, x, m, j0); break;
+        case 3: lu_chunk_avx2<3, TAIL>(lu, n, x, m, j0); break;
+        case 4: lu_chunk_avx2<4, TAIL>(lu, n, x, m, j0); break;
+        case 5: lu_chunk_avx2<5, TAIL>(lu, n, x, m, j0); break;
+        case 6: lu_chunk_avx2<6, TAIL>(lu, n, x, m, j0); break;
+        case 7: lu_chunk_avx2<7, TAIL>(lu, n, x, m, j0); break;
+        default: lu_chunk_avx2<8, TAIL>(lu, n, x, m, j0); break;
+    }
+}
+
+/// Columns are independent in both substitutions, so the right-hand sides
+/// are solved chunk by chunk.
+__attribute__((target("avx2,fma"))) void lu_substitute_avx2(const cplx* lu, std::size_t n,
+                                                            cplx* x, std::size_t m) noexcept {
+    for (std::size_t j0 = 0; j0 < m; j0 += kChunkCols) {
+        const std::size_t jn = std::min(kChunkCols, m - j0);
+        const std::size_t jv = jn / 2;
+        if ((jn & 1) != 0) {
+            lu_chunk_dispatch<true>(lu, n, x, m, j0, jv);
+        } else {
+            lu_chunk_dispatch<false>(lu, n, x, m, j0, jv);
+        }
+    }
 }
 
 bool detect_avx2() noexcept {
@@ -393,14 +481,14 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
     csr_gemm_raw_scalar(vals, cols, rowptr, m, b, c, n, accumulate);
 }
 
-void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept {
+void lu_substitute(const cplx* lu, std::size_t n, cplx* x, std::size_t m) noexcept {
 #if defined(QOC_HAVE_AVX2_PATH)
     if (use_avx2()) {
-        row_sub_scaled_avx2(xi, xk, l, n);
+        lu_substitute_avx2(lu, n, x, m);
         return;
     }
 #endif
-    row_sub_scaled_scalar(xi, xk, l, n);
+    lu_substitute_scalar(lu, n, x, m);
 }
 
 }  // namespace qoc::linalg::simd

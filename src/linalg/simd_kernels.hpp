@@ -75,8 +75,13 @@ void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
 void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,
                   const cplx* b, cplx* c, std::size_t n, bool accumulate) noexcept;
 
-/// `xi[j] -= l * xk[j]` over `n` contiguous elements: the row update of the
-/// vectorized LU forward/backward substitution.
-void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept;
+/// Both substitutions of an LU solve, in place: `lu` holds the packed
+/// `n x n` factors (unit-diagonal L below the diagonal, U on and above) and
+/// `x` the row-permuted, row-major `n x m` right-hand sides.  Forward pass:
+/// `x_i -= L(i,k) x_k` for k = 0..i-1; backward pass: `x_i -= U(i,k) x_k`
+/// for k = i+1..n-1, then `x_i /= U(i,i)`.  Zero factors are skipped and
+/// every element commits its updates in that order, vectorized over the
+/// right-hand-side columns.
+void lu_substitute(const cplx* lu, std::size_t n, cplx* x, std::size_t m) noexcept;
 
 }  // namespace qoc::linalg::simd

@@ -31,6 +31,7 @@ double survival_sem(const std::vector<double>& vals, double mean) {
 }  // namespace
 
 void fit_rb_curve(RbCurve& curve, double dimension) {
+    obs::Span span("rb.fit");
     const std::size_t n = curve.points.size();
     if (n < 3) throw std::invalid_argument("fit_rb_curve: need at least 3 lengths");
     std::vector<double> y(n), sigma(n);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "contracts/contracts.hpp"
+#include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "device/calibration.hpp"
 #include "device/executor.hpp"
@@ -142,6 +143,9 @@ TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
 TEST_F(AllocGuardTest, RbRunAllocDeterministicAndBudgeted) {
     GTEST_SKIP() << "contracts compiled in: invariant checks allocate scratch by design";
 }
+TEST_F(AllocGuardTest, GrapeObjectiveAllocationFreeAfterWarmup) {
+    GTEST_SKIP() << "contracts compiled in: invariant checks allocate scratch by design";
+}
 
 #else  // !QOC_CONTRACTS_ENABLED
 
@@ -198,6 +202,50 @@ TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
     RecordProperty("worst_steady_iter_allocs", static_cast<int>(worst));
     EXPECT_LE(worst, kGrapeIterAllocBudget)
         << "a steady-state GRAPE iteration gained heap allocations";
+}
+
+/// Open-system twin of `small_transmon_problem`: the qutrit Liouvillian
+/// (9x9 generators) with kTraceDiff fidelity.
+control::GrapeProblem small_open_problem() {
+    control::GrapeProblem p;
+    p.system.drift = quantum::liouvillian(quantum::duffing_drift(3, 0.0, -2.0),
+                                          {0.05 * quantum::annihilation(3)});
+    p.system.ctrls = {quantum::liouvillian_hamiltonian(0.5 * quantum::drive_x(3)),
+                      quantum::liouvillian_hamiltonian(0.5 * quantum::drive_y(3))};
+    Mat x3(3, 3);
+    x3(0, 1) = 1.0;
+    x3(1, 0) = 1.0;
+    x3(2, 2) = 1.0;
+    p.target = quantum::unitary_superop(x3);
+    p.fidelity = control::FidelityType::kTraceDiff;
+    p.n_timeslots = 16;
+    p.evo_time = 4.0;
+    p.initial_amps.assign(p.n_timeslots, {0.3, -0.2});
+    return p;
+}
+
+TEST_F(AllocGuardTest, GrapeObjectiveAllocationFreeAfterWarmup) {
+    // The evaluator's promise: after the first calls at a problem shape,
+    // objective() (propagate + adjoint gradient + fidelity) allocates
+    // NOTHING -- closed and open, also when consecutive points move slots
+    // between Pade orders.
+    for (const control::GrapeProblem& p : {small_transmon_problem(), small_open_problem()}) {
+        const control::ControlProblem cp(p);
+        const std::vector<double> x0 = cp.flatten(p.initial_amps);
+        std::vector<double> x1 = x0;
+        for (std::size_t i = 0; i < x1.size(); ++i) x1[i] = (i % 3 == 0) ? 1.0 : -0.05;
+        std::vector<double> grad;
+        cp.objective(x0, grad);  // warmup: sizes every workspace
+        cp.objective(x1, grad);
+        AllocMeter m;
+        double sink = 0.0;
+        for (int rep = 0; rep < 4; ++rep) {
+            sink += cp.objective(x0, grad);
+            sink += cp.objective(x1, grad);
+        }
+        EXPECT_EQ(m.delta(), 0u) << (cp.open_system() ? "open" : "closed");
+        EXPECT_GT(sink, 0.0);
+    }
 }
 
 TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {

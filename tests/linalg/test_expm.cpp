@@ -7,11 +7,13 @@
 #include <numbers>
 #include <random>
 
+#include "linalg/expm_frechet_reference.hpp"
 #include "linalg/expm_hermitian_reference.hpp"
 
 namespace qoc::linalg {
 namespace {
 
+using reference::expm_frechet;
 using reference::expm_hermitian;
 
 constexpr cplx kI{0.0, 1.0};

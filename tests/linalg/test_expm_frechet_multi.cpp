@@ -1,7 +1,7 @@
-/// Multi-direction Frechet engine: the shared-Pade path checked against
-/// finite differences and against the independent augmented-block
-/// `expm_frechet` across every Pade order (3..13) and the
-/// scaling-and-squaring branch, plus the AVX2-vs-scalar replay fence.
+/// Multi-direction and adjoint Frechet engine: the shared-Pade paths checked
+/// against finite differences and against the independent augmented-block
+/// `reference::expm_frechet` across every Pade order (3..13) and the
+/// scaling-and-squaring branch, plus the AVX2-vs-scalar replay fences.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +9,13 @@
 #include <random>
 
 #include "linalg/expm.hpp"
+#include "linalg/expm_frechet_reference.hpp"
 #include "linalg/simd_kernels.hpp"
 
 namespace qoc::linalg {
 namespace {
+
+using reference::expm_frechet;
 
 constexpr cplx kI{0.0, 1.0};
 
@@ -151,6 +154,95 @@ TEST(ExpmFrechetMulti, ScalarReplayIsBitwiseEqualAtQutritSuperopSize) {
                 << "norm=" << nrm << " dir=" << j;
         }
     }
+}
+
+// --- adjoint form -------------------------------------------------------------
+
+/// Norms hitting every Pade band: orders 3, 5, 7, 9, 13, and 13 with
+/// s = 2 and s = 4 squarings.
+constexpr double kBandNorms[] = {0.01, 0.2, 0.8, 1.8, 4.5, 20.0, 80.0};
+
+TEST(ExpmFrechetAdjoint, RetainedExponentialIsBitwiseExpmInto) {
+    ExpmWorkspace ws, scratch;
+    PadeState state;
+    Mat out;
+    for (double nrm : kBandNorms) {
+        const Mat a = with_norm(random_matrix(5, 151, 1.0), nrm);
+        expm_into(a, out, ws);
+        expm_retain(a, state, scratch);
+        EXPECT_TRUE(state.exp().approx_equal(out, 0.0)) << "norm=" << nrm;
+    }
+}
+
+TEST(ExpmFrechetAdjoint, EqualsForwardDerivativeAlongR) {
+    // In exact arithmetic the reverse-order evaluation is L(A, R) itself:
+    // the squaring updates commute with the Pade derivative because r(A_s)
+    // commutes with A_s.  Checked against the forward engine and the
+    // Van Loan reference in every Pade band.
+    ExpmWorkspace ws;
+    PadeState state;
+    Mat adj;
+    for (double nrm : kBandNorms) {
+        const Mat a = with_norm(random_matrix(5, 161, 1.0), nrm);
+        const Mat r = random_matrix(5, 162, 0.7);
+        expm_retain(a, state, ws);
+        expm_frechet_adjoint(state, r, adj, ws);
+        const auto [ea, fwd] = expm_frechet_multi(a, {r});
+        EXPECT_LT(rel_diff(adj, fwd[0]), 1e-12) << "norm=" << nrm;
+        EXPECT_LT(rel_diff(adj, expm_frechet(a, r).second), 1e-9) << "norm=" << nrm;
+    }
+}
+
+TEST(ExpmFrechetAdjoint, TraceIdentityAgainstEveryDirection) {
+    // Tr(R L(A, E_j)) = Tr(L(A, R) E_j): one adjoint derivative reproduces
+    // the trace of every forward directional derivative.
+    ExpmWorkspace ws;
+    PadeState state;
+    Mat adj;
+    for (double nrm : kBandNorms) {
+        const Mat a = with_norm(random_matrix(4, 171, 1.0), nrm);
+        const Mat r = random_matrix(4, 172, 0.7);
+        std::vector<Mat> dirs;
+        for (unsigned j = 0; j < 4; ++j) dirs.push_back(random_matrix(4, 180 + j, 0.6));
+        expm_retain(a, state, ws);
+        expm_frechet_adjoint(state, r, adj, ws);
+        const auto [ea, ls] = expm_frechet_multi(a, dirs);
+        for (std::size_t j = 0; j < dirs.size(); ++j) {
+            const cplx fwd = trace_of_product(r, ls[j]);
+            const cplx rev = trace_of_product(adj, dirs[j]);
+            EXPECT_LT(std::abs(rev - fwd), 1e-12 * std::max(1.0, std::abs(fwd)))
+                << "norm=" << nrm << " dir=" << j;
+        }
+    }
+}
+
+TEST(ExpmFrechetAdjoint, ScalarReplayIsBitwiseEqualAtQutritSuperopSize) {
+    if (!simd::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
+    for (double nrm : {0.2, 20.0}) {
+        const Mat a = with_norm(random_matrix(9, 191, 1.0), nrm);
+        const Mat r = random_matrix(9, 192, 0.5);
+        ExpmWorkspace ws;
+        PadeState state;
+        Mat adj_cpu, adj_scalar;
+        expm_retain(a, state, ws);
+        expm_frechet_adjoint(state, r, adj_cpu, ws);
+        const Mat ea_cpu = state.exp();
+        simd::force_scalar(true);
+        expm_retain(a, state, ws);
+        expm_frechet_adjoint(state, r, adj_scalar, ws);
+        simd::force_scalar(false);
+        EXPECT_TRUE(ea_cpu.approx_equal(state.exp(), 0.0)) << "norm=" << nrm;
+        EXPECT_TRUE(adj_cpu.approx_equal(adj_scalar, 0.0)) << "norm=" << nrm;
+    }
+}
+
+TEST(ExpmFrechetAdjoint, ShapeMismatchThrows) {
+    ExpmWorkspace ws;
+    PadeState state;
+    Mat adj;
+    expm_retain(random_matrix(3, 201, 0.5), state, ws);
+    EXPECT_THROW(expm_frechet_adjoint(state, Mat(2, 2), adj, ws), std::invalid_argument);
+    EXPECT_THROW(expm_retain(Mat(2, 3), state, ws), std::invalid_argument);
 }
 
 TEST(ExpmFrechetMulti, ShapeMismatchThrows) {
