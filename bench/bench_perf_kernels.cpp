@@ -51,6 +51,56 @@ void BM_ExpmBySize(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpmBySize)->Arg(2)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
 
+// --- action of the exponential against propagator-then-product --------------
+//
+// Args are (n, k): a 9 x 1 qutrit state, as one Rabi-sweep sample advances
+// it, and a 16 x 2 pair of two-qubit states, the CX calibration's block.
+// The generator -iH has 1-norm 0.5, inside the Rabi sweep's range.
+
+linalg::Mat action_generator(std::size_t n) {
+    linalg::Mat a = linalg::cplx{0.0, -1.0} * random_hermitian(n, 11);
+    a *= 0.5 / a.norm_1();
+    return a;
+}
+
+linalg::Mat action_block(std::size_t n, std::size_t k) {
+    std::mt19937 rng(13);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    linalg::Mat b(n, k);
+    for (auto& v : b.data()) v = {dist(rng), dist(rng)};
+    return b;
+}
+
+void BM_ExpmAction(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const linalg::Mat a = action_generator(n);
+    const linalg::Mat b0 = action_block(n, k);
+    linalg::ExpmActionWorkspace ws;
+    linalg::Mat b = b0;
+    for (auto _ : state) {
+        b = b0;
+        linalg::expm_action_into(a, b, ws);
+        benchmark::DoNotOptimize(b.data().data());
+    }
+}
+BENCHMARK(BM_ExpmAction)->Args({9, 1})->Args({16, 2});
+
+void BM_ExpmIntoTimesBlock(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const linalg::Mat a = action_generator(n);
+    const linalg::Mat b0 = action_block(n, k);
+    linalg::ExpmWorkspace ws;
+    linalg::Mat e, b;
+    for (auto _ : state) {
+        linalg::expm_into(a, e, ws);
+        linalg::gemm_into(e, b0, b);
+        benchmark::DoNotOptimize(b.data().data());
+    }
+}
+BENCHMARK(BM_ExpmIntoTimesBlock)->Args({9, 1})->Args({16, 2});
+
 // --- multi-direction Frechet (the forward engine) ----------------------------
 //
 // Args are (N, m): matrix size and number of directions.  The sweep covers
@@ -395,8 +445,8 @@ BENCHMARK(BM_DesignPipelineSequential)->Unit(benchmark::kMillisecond);
 // pair.  State is reset afterwards so the remaining benchmarks always run
 // with obs off.
 void BM_ObsOverhead(benchmark::State& state) {
-    // When QOC_TRACE/QOC_METRICS already activated obs (run_perf_baseline.sh
-    // does), leave that state alone -- resetting would close the live
+    // When QOC_TRACE/QOC_METRICS already activated obs, leave that state
+    // alone -- resetting would close the live
     // telemetry file.  Both args then measure the externally-enabled path.
     const bool externally_enabled =
         obs::g_obs_state.load(std::memory_order_relaxed) != 0;

@@ -12,6 +12,7 @@
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
 #include "runtime/task_pool.hpp"
+#include "runtime/workspace_pool.hpp"
 
 namespace qoc::device {
 
@@ -43,10 +44,11 @@ struct RabiJob {
 };
 
 /// Measures every point of every sweep in `jobs` as one parallel_for over
-/// all points of all jobs.  A point propagates vec(rho0) alone (a k = 1
-/// block; its amplitude never recurs, so it bypasses the propagator cache)
-/// and draws its shots from its own seed `opts.seed + i`, so the results are
-/// bitwise independent of the pool size.
+/// all points of all jobs.  A point propagates vec(rho0) alone: a k = 1
+/// block whose amplitude never recurs, so it takes the action of each
+/// sample's exponential instead of a shared propagator.  It draws its shots
+/// from its own seed `opts.seed + i`, so the results are bitwise independent
+/// of the pool size.  Tasks lease their propagation scratch from one pool.
 std::vector<RabiResult> rabi_sweeps(const PulseExecutor& device,
                                     const std::vector<RabiJob>& jobs) {
     const std::size_t d = device.config().levels;
@@ -63,6 +65,7 @@ std::vector<RabiResult> rabi_sweeps(const PulseExecutor& device,
         }
     }
     const Mat vec_rho0 = linalg::vec(device.ground_state_1q());
+    runtime::WorkspacePool<PropagationWorkspace> workspaces;
     runtime::TaskPool::global().parallel_for(0, points.size(), [&](std::size_t p) {
         const auto [j, i] = points[p];
         const RabiJob& job = jobs[j];
@@ -71,8 +74,8 @@ std::vector<RabiResult> rabi_sweeps(const PulseExecutor& device,
         const auto wf = pulse::drag_waveform(job.opts.pulse_duration_dt,
                                              {results[j].sweep_amps[i], 0.0}, beta);
         Mat state = vec_rho0;
-        PropagationWorkspace ws;
-        device.propagate_1q(wf.samples(), job.qubit, state, ws, PropagatorReuse::kNone);
+        const auto lease = workspaces.acquire();
+        device.propagate_1q(wf.samples(), job.qubit, state, *lease, PropagatorReuse::kNone);
         const Counts c = device.measure_1q(linalg::unvec(state, d), job.qubit, job.opts.shots,
                                            job.opts.seed + i);
         results[j].sweep_p1[i] = c.probability("1");

@@ -34,11 +34,11 @@ double dephasing_rate(double t1, double t2) {
 /// propagator cache (1q keys use the qubit index itself).
 constexpr std::uint64_t kKey2q = ~std::uint64_t{0};
 
-/// Entry cap for the propagator cache.  Only replayed schedules fill it: the
+/// Entry cap for the propagator cache.  Only kShared streams fill it: the
 /// default x/sx/cx superops, the CX calibration's echo (whose X pulses recur
 /// every iteration) and designed pulses under IRB -- about 1,700 entries per
-/// executor on the paper tables.  The Rabi sweep, whose 12,800 amplitudes
-/// per calibration occur once each, bypasses it.  The cap only guards
+/// executor on the paper tables.  kNone streams (the Rabi sweep's state
+/// propagation) never form a propagator to publish.  The cap only guards
 /// pathological waveforms (past it, propagators are computed but not
 /// published, so references already handed out stay valid).
 constexpr std::size_t kPropCacheMax = 8192;
@@ -106,6 +106,7 @@ PulseExecutor::PulseExecutor(BackendConfig config) : config_(std::move(config)) 
         g.linear = {dt * quantum::liouvillian_hamiltonian(hx),
                     dt * quantum::liouvillian_hamiltonian(hy)};
         if (p.drive_amp_noise > 0.0) g.noise.push_back(noise_terms(0, p.drive_amp_noise, hx, hy));
+        g.record_norms();
         gen_1q_.push_back(std::move(g));
     }
 
@@ -150,7 +151,29 @@ PulseExecutor::PulseExecutor(BackendConfig config) : config_(std::move(config)) 
                            (0.5 * cr.classical_crosstalk) * op_on_qubit(axis, 0, 2);
             gen_2q_.linear.push_back(dt * quantum::liouvillian_hamiltonian(hu));
         }
+        gen_2q_.record_norms();
     }
+}
+
+void PulseExecutor::AffineGenerator::record_norms() {
+    l0_norm = l0.norm_1();
+    linear_norm.clear();
+    for (const Mat& l : linear) linear_norm.push_back(l.norm_1());
+    for (Noise& n : noise) {
+        n.xx_norm = n.xx.norm_1();
+        n.yy_norm = n.yy.norm_1();
+        n.xy_norm = n.xy.norm_1();
+    }
+}
+
+double PulseExecutor::AffineGenerator::norm_bound(const std::array<double, 6>& x) const {
+    double bound = l0_norm;
+    for (std::size_t k = 0; k < linear.size(); ++k) bound += std::abs(x[k]) * linear_norm[k];
+    for (const Noise& n : noise) {
+        const double xq = x[n.coord], yq = x[n.coord + 1];
+        bound += xq * xq * n.xx_norm + yq * yq * n.yy_norm + std::abs(xq * yq) * n.xy_norm;
+    }
+    return bound;
 }
 
 void PulseExecutor::AffineGenerator::evaluate_into(const std::array<double, 6>& x,
@@ -220,14 +243,35 @@ void PulseExecutor::propagate(const AffineGenerator& gen, std::uint64_t tag,
     std::size_t n = 0;
     for (const auto* s : streams) n = std::max(n, s->size());
     std::array<double, 6> x{}, prev{};
-    const Mat* prop = nullptr;
-    for (std::size_t t = 0; t < n; ++t) {
+    auto coordinates = [&](std::size_t t) {
         for (std::size_t c = 0; c < streams.size(); ++c) {
             const auto& s = *streams[c];
             const cplx v = t < s.size() ? s[t] : cplx{};
             x[2 * c] = v.real();
             x[2 * c + 1] = v.imag();
         }
+    };
+    if (reuse == PropagatorReuse::kNone && block.cols() <= kActionMaxCols) {
+        // Action route: one (m, s) for the stream, from the largest bound.
+        double bound = 0.0;
+        for (std::size_t t = 0; t < n; ++t) {
+            coordinates(t);
+            bound = std::max(bound, gen.norm_bound(x));
+        }
+        const linalg::TaylorDegree deg = linalg::expm_action_degree(bound);
+        for (std::size_t t = 0; t < n; ++t) {
+            coordinates(t);
+            if (t == 0 || x != prev) {
+                gen.evaluate_into(x, ws.gen);
+                prev = x;
+            }
+            linalg::expm_action_into(ws.gen, deg, block, ws.action);
+        }
+        return;
+    }
+    const Mat* prop = nullptr;
+    for (std::size_t t = 0; t < n; ++t) {
+        coordinates(t);
         // Flat-top and piecewise-constant stretches repeat a sample: reuse
         // the propagator without a lookup.
         if (prop == nullptr || x != prev) {
@@ -424,10 +468,15 @@ Counts PulseExecutor::measure_2q_populations(const std::array<double, 4>& true_p
 
     std::mt19937_64 rng(seed);
     std::discrete_distribution<int> dist(read_p.begin(), read_p.end());
+    std::array<int, 4> tally{};
+    for (int s = 0; s < shots; ++s) ++tally[static_cast<std::size_t>(dist(rng))];
     Counts c;
     c.shots = shots;
+    // Only drawn outcomes get a key, as in a histogram filled shot by shot.
     static const char* labels[4] = {"00", "01", "10", "11"};
-    for (int s = 0; s < shots; ++s) c.histogram[labels[dist(rng)]]++;
+    for (std::size_t k = 0; k < 4; ++k) {
+        if (tally[k] > 0) c.histogram.emplace(labels[k], tally[k]);
+    }
     return c;
 }
 

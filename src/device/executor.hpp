@@ -45,21 +45,37 @@ struct Counts {
 };
 
 /// Per-thread scratch of the executor's sample-propagation loop.  Reusing one
-/// across streams of the same shape keeps the loop allocation-free after the
-/// first stream; one workspace must not be shared between threads.
+/// across streams of the same block shape keeps the loop allocation-free
+/// after the first stream, on either route (Pade propagators or the action
+/// of the exponential); one workspace must not be shared between threads.
 struct PropagationWorkspace {
-    Mat gen;                      ///< dt * L(s) of the current sample
-    Mat prop;                     ///< its propagator e^{dt L(s)}
-    Mat next;                     ///< product buffer, swapped with the block
-    linalg::ExpmWorkspace expm;
+    Mat gen;                             ///< dt * L(s) of the current sample
+    Mat prop;                            ///< its propagator e^{dt L(s)} (propagator route)
+    Mat next;                            ///< product buffer, swapped with the block
+    linalg::ExpmWorkspace expm;          ///< Pade scratch (propagator route)
+    linalg::ExpmActionWorkspace action;  ///< Taylor scratch (action route)
 };
 
-/// Whether a stream's per-sample propagators go through the executor's shared
-/// amplitude cache.
+/// Whether a stream's per-sample propagators are shared, which also picks
+/// how the stream is propagated.
 enum class PropagatorReuse {
-    kShared,  ///< look up and publish: gate schedules replay their amplitudes
-    kNone,    ///< compute every one: sweep points whose amplitudes occur once
+    /// Look up and publish Pade propagators e^{dt L(s)} in the executor's
+    /// amplitude cache: gate schedules and the CX calibration replay their
+    /// amplitudes.
+    kShared,
+    /// Share nothing: sweep points whose amplitudes occur once.  A block of
+    /// at most `kActionMaxCols` columns (a state, or a pair of states) then
+    /// takes the action e^{dt L(s)} block directly, without forming the
+    /// propagator; a wider block (a superoperator) still multiplies Pade
+    /// propagators.
+    kNone,
 };
+
+/// Widest block that a `PropagatorReuse::kNone` stream advances by the
+/// action of the exponential.  One action costs about m matvecs per column
+/// against one Pade expm (~6 d^2 x d^2 products) and one product for the
+/// propagator route, so the action only wins on thin blocks.
+inline constexpr std::size_t kActionMaxCols = 2;
 
 class PulseExecutor {
 public:
@@ -101,7 +117,8 @@ public:
     /// through the sample stream on `qubit`'s drive channel in place:
     /// block <- P(s_n) ... P(s_1) block, with P(s) = e^{dt L(s)}.  The columns
     /// are k vectorized (column-stacking) density matrices, or the identity
-    /// when building a superoperator.
+    /// when building a superoperator.  `reuse` and k pick the route (see
+    /// `PropagatorReuse`).
     void propagate_1q(const std::vector<std::complex<double>>& samples, std::size_t qubit,
                       Mat& block, PropagationWorkspace& ws, PropagatorReuse reuse) const;
 
@@ -154,17 +171,26 @@ private:
     /// The last sum is the drive-amplitude-noise dissipator of each driven
     /// qubit q, quadratic in its sample (x_q, y_q); its rate and dt are
     /// folded into the three matrices.  Built once per executor, so a sample
-    /// costs a handful of axpys instead of a Liouvillian rebuild.
+    /// costs a handful of axpys instead of a Liouvillian rebuild.  The
+    /// 1-norm of every term is kept too, so a bound on ||dt L(x)||_1 costs a
+    /// few multiplies.
     struct AffineGenerator {
         struct Noise {
             std::size_t coord = 0;  ///< index of x_q; y_q is coord + 1
             Mat xx, yy, xy;
+            double xx_norm = 0.0, yy_norm = 0.0, xy_norm = 0.0;  ///< 1-norms
         };
         Mat l0;
         std::vector<Mat> linear;  ///< L_k, one per coordinate
         std::vector<Noise> noise;
+        double l0_norm = 0.0;             ///< ||L0||_1
+        std::vector<double> linear_norm;  ///< ||L_k||_1
 
+        /// Fills the 1-norm fields from the matrices.
+        void record_norms();
         void evaluate_into(const std::array<double, 6>& x, Mat& out) const;
+        /// Triangle-inequality bound on ||dt L(x)||_1.
+        double norm_bound(const std::array<double, 6>& x) const;
     };
 
     /// Cache key for an amplitude -> single-sample propagator entry: a tag
@@ -180,7 +206,9 @@ private:
     };
 
     /// The loop behind `propagate_1q/2q`: `streams` are the channels whose
-    /// samples give coordinates (x_0, x_1), (x_2, x_3), ... of `gen`.
+    /// samples give coordinates (x_0, x_1), (x_2, x_3), ... of `gen`.  A
+    /// `kNone` stream on at most `kActionMaxCols` columns takes one Taylor
+    /// degree (m, s) for all its samples, from the largest `norm_bound`.
     void propagate(const AffineGenerator& gen, std::uint64_t tag,
                    std::span<const std::vector<std::complex<double>>* const> streams,
                    Mat& block, PropagationWorkspace& ws, PropagatorReuse reuse) const;
@@ -201,8 +229,9 @@ private:
     std::vector<AffineGenerator> gen_1q_;  ///< one per qubit
     AffineGenerator gen_2q_;               ///< the (0, 1) pair; empty below 2 qubits
     // Amplitude -> propagator cache shared across schedule builds: x/sx/cx
-    // schedules replay the same sample values, so the per-sample expm is
-    // paid once per distinct amplitude per executor.
+    // schedules and the CX calibration's echo replay the same sample values,
+    // so the per-sample expm is paid once per distinct amplitude per
+    // executor.  Only kShared streams read or fill it.
     mutable std::unordered_map<PropKey, Mat, PropKeyHash> prop_cache_;
     mutable std::mutex prop_cache_mutex_;
 };

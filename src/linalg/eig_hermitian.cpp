@@ -103,12 +103,4 @@ EigH eig_hermitian(const Mat& a, double herm_tol) {
     return out;
 }
 
-Mat hermitian_function(const Mat& a, double (*f)(double)) {
-    const EigH e = eig_hermitian(a);
-    const std::size_t n = a.rows();
-    Mat d(n, n);
-    for (std::size_t i = 0; i < n; ++i) d(i, i) = cplx{f(e.eigenvalues[i]), 0.0};
-    return e.eigenvectors * d * e.eigenvectors.adjoint();
-}
-
 }  // namespace qoc::linalg

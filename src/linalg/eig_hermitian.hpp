@@ -23,8 +23,4 @@ struct EigH {
 /// input is not square or not Hermitian within `herm_tol`.
 EigH eig_hermitian(const Mat& a, double herm_tol = 1e-9);
 
-/// Applies an analytic function to a Hermitian matrix through its spectrum:
-/// `f(A) = V diag(f(w)) V^dagger`.
-Mat hermitian_function(const Mat& a, double (*f)(double));
-
 }  // namespace qoc::linalg

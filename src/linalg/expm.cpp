@@ -1,5 +1,6 @@
 #include "linalg/expm.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
@@ -7,6 +8,7 @@
 #include <utility>
 
 #include "linalg/lu.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
@@ -71,6 +73,54 @@ int choose_pade_order(double nrm, int& s) {
     }
     return 13;
 }
+
+/// theta_m of the truncated-Taylor action in double precision (unit roundoff
+/// 2^-53): Al-Mohy & Higham (2011), from Higham's "Functions of Matrices"
+/// Table A.3 for m <= 30 and their Table 3.1 beyond.
+struct TaylorTheta {
+    int m;
+    double theta;
+};
+constexpr std::array<TaylorTheta, 35> kTaylorTheta = {{
+    {1, 2.29e-16},
+    {2, 2.58e-8},
+    {3, 1.39e-5},
+    {4, 3.40e-4},
+    {5, 2.40e-3},
+    {6, 9.07e-3},
+    {7, 2.38e-2},
+    {8, 5.00e-2},
+    {9, 8.96e-2},
+    {10, 1.44e-1},
+    {11, 2.14e-1},
+    {12, 3.00e-1},
+    {13, 4.00e-1},
+    {14, 5.14e-1},
+    {15, 6.41e-1},
+    {16, 7.81e-1},
+    {17, 9.31e-1},
+    {18, 1.09},
+    {19, 1.26},
+    {20, 1.44},
+    {21, 1.62},
+    {22, 1.82},
+    {23, 2.01},
+    {24, 2.22},
+    {25, 2.43},
+    {26, 2.64},
+    {27, 2.86},
+    {28, 3.08},
+    {29, 3.31},
+    {30, 3.54},
+    {35, 4.7},
+    {40, 6.0},
+    {45, 7.2},
+    {50, 8.5},
+    {55, 9.9},
+}};
+
+/// Unit roundoff of the term test.
+constexpr double kActionTol = 0x1p-53;
 
 /// `m += c * I`.
 void add_diag(Mat& m, double c) {
@@ -303,6 +353,88 @@ void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws) {
 void expm_retain(const Mat& a, PadeState& state, ExpmWorkspace& ws) {
     if (!a.is_square()) throw std::invalid_argument("expm_retain: non-square matrix");
     pade_forward(a, state, ws);
+}
+
+TaylorDegree expm_action_degree(double norm_1) {
+    if (!std::isfinite(norm_1) || norm_1 < 0.0) {
+        throw std::invalid_argument("expm_action_degree: norm bound must be finite and >= 0");
+    }
+    TaylorDegree best;
+    if (norm_1 == 0.0) return best;
+    double best_cost = 0.0;
+    for (const TaylorTheta& t : kTaylorTheta) {
+        const double s = std::ceil(norm_1 / t.theta);
+        const double cost = static_cast<double>(t.m) * s;
+        if (best.m == 0 || cost < best_cost) {
+            best = {t.m, static_cast<int>(s)};
+            best_cost = cost;
+        }
+    }
+    return best;
+}
+
+void expm_action_into(const Mat& a, TaylorDegree deg, Mat& b, ExpmActionWorkspace& ws) {
+    if (!a.is_square() || b.rows() != a.rows()) {
+        throw std::invalid_argument("expm_action_into: shape mismatch");
+    }
+    if (deg.m < 0 || deg.s < 1) throw std::invalid_argument("expm_action_into: bad degree");
+    assert(&b != &ws.term && &b != &ws.prod && &b != &a);
+    obs::count(obs::Cnt::kExpmActions);
+    if (deg.m == 0) return;
+    const std::size_t n = b.rows();
+    const std::size_t k = b.cols();
+    ws.term.resize(n, k);
+    ws.prod.resize(n, k);
+    const cplx* ad = a.data().data();
+    cplx* fd = b.data().data();
+    cplx* td = ws.term.data().data();
+    cplx* pd = ws.prod.data().data();
+    // Max row sum of |Re| + |Im| of an n x k row-major block.
+    auto block_norm = [n, k](const cplx* x) {
+        double best = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            double row = 0.0;
+            for (std::size_t c = 0; c < k; ++c) {
+                row += std::abs(x[i * k + c].real()) + std::abs(x[i * k + c].imag());
+            }
+            best = std::max(best, row);
+        }
+        return best;
+    };
+    for (int step = 0; step < deg.s; ++step) {
+        std::copy(fd, fd + n * k, td);
+        double c1 = block_norm(td);
+        for (int j = 1; j <= deg.m; ++j) {
+            for (std::size_t c = 0; c < k; ++c) {
+                simd::gemv_strided(ad, n, td + c, pd + c, k, false);
+            }
+            // T_j = (A T_{j-1}) / (s j) and F += T_j, with both norms, in one
+            // sweep over the rows.
+            const double scale = 1.0 / (static_cast<double>(deg.s) * static_cast<double>(j));
+            double c2 = 0.0, fnorm = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                double trow = 0.0, frow = 0.0;
+                for (std::size_t c = 0; c < k; ++c) {
+                    const std::size_t e = i * k + c;
+                    td[e] = cplx{pd[e].real() * scale, pd[e].imag() * scale};
+                    fd[e] += td[e];
+                    trow += std::abs(td[e].real()) + std::abs(td[e].imag());
+                    frow += std::abs(fd[e].real()) + std::abs(fd[e].imag());
+                }
+                c2 = std::max(c2, trow);
+                fnorm = std::max(fnorm, frow);
+            }
+            if (c1 + c2 <= kActionTol * fnorm) break;
+            c1 = c2;
+        }
+    }
+}
+
+void expm_action_into(const Mat& a, Mat& b, ExpmActionWorkspace& ws) {
+    if (!a.is_square()) throw std::invalid_argument("expm_action_into: shape mismatch");
+    const double nrm = a.norm_1();
+    if (!std::isfinite(nrm)) throw std::invalid_argument("expm_action_into: non-finite entry");
+    expm_action_into(a, expm_action_degree(nrm), b, ws);
 }
 
 void expm_frechet_adjoint(const PadeState& state, const Mat& r, Mat& out,

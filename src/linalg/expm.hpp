@@ -2,7 +2,9 @@
 /// \brief Matrix exponential (Higham Pade 13 scaling-and-squaring) and its
 ///        Frechet derivatives from one Pade engine: the forward
 ///        multi-direction form and the adjoint form the GRAPE gradient
-///        uses.
+///        uses.  Beside it, the action of the exponential on a thin block
+///        (Al-Mohy-Higham truncated Taylor), for streams that only ever
+///        multiply the exponential into a vector or two.
 
 #pragma once
 
@@ -97,5 +99,48 @@ void expm_retain(const Mat& a, PadeState& state, ExpmWorkspace& ws);
 /// `out` must not alias `r`; `r` must have the shape of A.
 void expm_frechet_adjoint(const PadeState& state, const Mat& r, Mat& out,
                           ExpmWorkspace& ws);
+
+// --- action of the exponential -----------------------------------------------
+
+/// Degree and step count of a truncated-Taylor action: `e^A B` is taken as
+/// `T_m(A/s)^s B`, with `T_m` the degree-m Taylor polynomial.
+struct TaylorDegree {
+    int m = 0;  ///< degree per step; 0 only for A = 0, where e^A B = B
+    int s = 1;  ///< number of steps
+};
+
+/// (m, s) for every generator whose 1-norm is at most `norm_1`: of the pairs
+/// with `norm_1 / s <= theta_m`, the one with the fewest products m * s
+/// (the smallest m on a tie), with theta_m from the double-precision table
+/// of Al-Mohy & Higham, "Computing the action of the matrix exponential"
+/// (SIAM J. Sci. Comput. 33, 2011), m <= 55.  Throws
+/// `std::invalid_argument` on a negative or non-finite bound.
+TaylorDegree expm_action_degree(double norm_1);
+
+/// Scratch of `expm_action_into`.  Shape-reused: repeated calls at one block
+/// shape perform no heap allocation.  Not to be shared between threads.
+struct ExpmActionWorkspace {
+    Mat term;  ///< the current Taylor term
+    Mat prod;  ///< `A * term`, before its 1/(s j) scale
+};
+
+/// `b <- e^A b` for an n x n `a` and an n x k block `b`, without forming
+/// e^A: s steps of `F <- F + sum_j T_j`, `T_j = A T_{j-1} / (s j)`,
+/// `T_0 = F` (Al-Mohy & Higham, Algorithm 3.2, without the shift).  A step
+/// stops before degree m once two consecutive terms sum to at most 2^-53
+/// times the partial sum, in the max row sum of |Re| + |Im| (within a
+/// factor sqrt(2) of the infinity norm, without a square root).
+///
+/// Every product is one `simd::gemv_strided` call per column of `b`
+/// (stride k), so each element follows the kernel family's rounding
+/// contract and the scalar replay gives the same bits.  `deg` must come
+/// from a bound on ||a||_1 (`expm_action_degree`).  Throws
+/// `std::invalid_argument` when `a` is not square or `b` has another row
+/// count.  `b` must not alias `a` or the workspace.
+void expm_action_into(const Mat& a, TaylorDegree deg, Mat& b, ExpmActionWorkspace& ws);
+
+/// The same with (m, s) taken from ||a||_1 itself; throws also on a
+/// non-finite entry of `a`.
+void expm_action_into(const Mat& a, Mat& b, ExpmActionWorkspace& ws);
 
 }  // namespace qoc::linalg

@@ -145,19 +145,70 @@ __attribute__((target("avx2,fma"))) inline void cfma_hw(cplx& acc, const cplx a,
     acc = cplx{acc.real() + pr, acc.imag() + pi};
 }
 
+/// a(i,p) x_p for rows i and i + 1 of row-major `a` (entries at `r0`, `r1`)
+/// against the broadcast `xv` = [x_re x_im x_re x_im] (`xs` = its swap), in
+/// the lane arithmetic of `cfma2`.  A row whose entry is exactly zero gets
+/// -0 instead: adding -0 leaves every accumulator bit-unchanged, which is
+/// what skipping the term does in the scalar replay, even where x_p is not
+/// finite.
+__attribute__((target("avx2,fma"))) inline __m256d cprod_rows2(const double* r0, const double* r1,
+                                                               __m256d xv,
+                                                               __m256d xs) noexcept {
+    const __m256d av = _mm256_set_m128d(_mm_loadu_pd(r1), _mm_loadu_pd(r0));
+    const __m256d prod = _mm256_fmaddsub_pd(xv, _mm256_movedup_pd(av),
+                                            _mm256_mul_pd(xs, _mm256_permute_pd(av, 0b1111)));
+    const __m256d z = _mm256_cmp_pd(av, _mm256_setzero_pd(), _CMP_EQ_OQ);
+    const __m256d zero_entry = _mm256_and_pd(z, _mm256_permute_pd(z, 0b0101));
+    return _mm256_blendv_pd(prod, _mm256_set1_pd(-0.0), zero_entry);
+}
+
+/// One-row (128-bit) form of `cprod_rows2`.
+__attribute__((target("avx2,fma"))) inline __m128d cprod_row1(const double* r0, __m128d xv,
+                                                              __m128d xs) noexcept {
+    const __m128d av = _mm_loadu_pd(r0);
+    const __m128d prod =
+        _mm_fmaddsub_pd(xv, _mm_movedup_pd(av), _mm_mul_pd(xs, _mm_permute_pd(av, 0b11)));
+    const __m128d z = _mm_cmp_pd(av, _mm_setzero_pd(), _CMP_EQ_OQ);
+    return _mm_blendv_pd(prod, _mm_set1_pd(-0.0), _mm_and_pd(z, _mm_permute_pd(z, 0b01)));
+}
+
+// Two output rows per pass, one per 128-bit half, so each vector add
+// commits one term of two independent accumulations: every element still
+// sums its nonzero terms over ascending p in the scalar order, without the
+// scalar loop's per-entry zero branch.
 __attribute__((target("avx2,fma"))) void gemv_strided_hw(const cplx* a, std::size_t n,
                                                          const cplx* x, cplx* out,
                                                          std::size_t stride,
                                                          bool accumulate) noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-        cplx acc = accumulate ? out[i * stride] : cplx{0.0, 0.0};
-        const cplx* arow = a + i * n;
+    const auto* ad = reinterpret_cast<const double*>(a);
+    const auto* xd = reinterpret_cast<const double*>(x);
+    auto* od = reinterpret_cast<double*>(out);
+    std::size_t i = 0;
+    for (; i + 1 < n; i += 2) {
+        double* o0 = od + 2 * i * stride;
+        double* o1 = od + 2 * (i + 1) * stride;
+        __m256d acc = accumulate ? _mm256_set_m128d(_mm_loadu_pd(o1), _mm_loadu_pd(o0))
+                                 : _mm256_setzero_pd();
+        const double* r0 = ad + 2 * i * n;
+        const double* r1 = r0 + 2 * n;
         for (std::size_t p = 0; p < n; ++p) {
-            const cplx aip = arow[p];
-            if (aip == cplx{0.0, 0.0}) continue;
-            cfma_hw(acc, aip, x[p * stride]);
+            const __m256d xv =
+                _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(xd + 2 * p * stride));
+            const __m256d xs = _mm256_permute_pd(xv, 0b0101);
+            acc = _mm256_add_pd(acc, cprod_rows2(r0 + 2 * p, r1 + 2 * p, xv, xs));
         }
-        out[i * stride] = acc;
+        _mm_storeu_pd(o0, _mm256_castpd256_pd128(acc));
+        _mm_storeu_pd(o1, _mm256_extractf128_pd(acc, 1));
+    }
+    if (i < n) {
+        double* o0 = od + 2 * i * stride;
+        __m128d acc = accumulate ? _mm_loadu_pd(o0) : _mm_setzero_pd();
+        const double* r0 = ad + 2 * i * n;
+        for (std::size_t p = 0; p < n; ++p) {
+            const __m128d xv = _mm_loadu_pd(xd + 2 * p * stride);
+            acc = _mm_add_pd(acc, cprod_row1(r0 + 2 * p, xv, _mm_permute_pd(xv, 0b01)));
+        }
+        _mm_storeu_pd(o0, acc);
     }
 }
 
@@ -447,8 +498,8 @@ void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t 
 
 void gemv_strided(const cplx* a, std::size_t n, const cplx* x, cplx* out,
                   std::size_t stride, bool accumulate) noexcept {
-    // Strided columns defeat contiguous vector loads; the scalar replay is
-    // the canonical arithmetic here, run through hardware fma when present.
+    // The AVX2 form pairs output rows in one vector; the scalar replay
+    // commits the same per-element sequence.
 #if defined(QOC_HAVE_AVX2_PATH)
     if (use_avx2()) {
         gemv_strided_hw(a, n, x, out, stride, accumulate);

@@ -97,6 +97,7 @@ constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "service.requests.admitted",
     "service.queue.shed",
     "solver.dispatches",
+    "linalg.expm.actions",
 };
 
 constexpr std::array<const char*, kNumHists> kHistNames = {

@@ -96,6 +96,7 @@ enum class Cnt : unsigned {
     kSvcAdmitted,       ///< design requests admitted to the service queue (monotone)
     kSvcQueueShed,      ///< design requests shed by admission control
     kSolverDispatches,  ///< L-BFGS-B GRAPE, gradient-descent GRAPE and CRAB runs
+    kExpmActions,       ///< truncated-Taylor actions e^A B (expm_action_into)
     kCount
 };
 

@@ -2,7 +2,10 @@
 /// direct way: a fresh Hamiltonian and collapse list per drive sample, then
 /// `quantum::liouvillian` (Kronecker products plus dissipators).  The
 /// executor evaluates the same generators from an affine form built once
-/// per device; the oracle tests hold the two together.
+/// per device; the oracle tests hold the two together.  On top of them, the
+/// Pade state stream: every sample's propagator e^{dt L} formed by
+/// `linalg::expm` and multiplied into the block, the oracle of the
+/// executor's action-of-the-exponential route.
 
 #pragma once
 
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "device/backend_config.hpp"
+#include "linalg/expm.hpp"
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
 #include "quantum/operators.hpp"
@@ -106,6 +110,32 @@ inline Mat lindblad_generator_2q(const BackendConfig& config, std::complex<doubl
              (u0.real() * op_on_qubit(sigma_x(), 0, 2) + u0.imag() * op_on_qubit(sigma_y(), 0, 2));
     }
     return quantum::liouvillian(h, collapse);
+}
+
+/// block <- e^{dt L(s_n)} ... e^{dt L(s_1)} block on `qubit`, one Pade
+/// propagator per sample.
+inline void propagate_pade_1q(const BackendConfig& config,
+                              const std::vector<std::complex<double>>& samples,
+                              std::size_t qubit, Mat& block) {
+    for (const std::complex<double> s : samples) {
+        block = linalg::expm(config.dt * lindblad_generator_1q(config, s, qubit)) * block;
+    }
+}
+
+/// The pair's Pade state stream over D0, D1 and U0, zero-padded to a common
+/// length.
+inline void propagate_pade_2q(const BackendConfig& config,
+                              const std::vector<std::complex<double>>& d0,
+                              const std::vector<std::complex<double>>& d1,
+                              const std::vector<std::complex<double>>& u0, Mat& block) {
+    const std::size_t n = std::max({d0.size(), d1.size(), u0.size()});
+    auto at = [](const std::vector<std::complex<double>>& s, std::size_t t) {
+        return t < s.size() ? s[t] : std::complex<double>{};
+    };
+    for (std::size_t t = 0; t < n; ++t) {
+        const Mat gen = lindblad_generator_2q(config, at(d0, t), at(d1, t), at(u0, t));
+        block = linalg::expm(config.dt * gen) * block;
+    }
 }
 
 }  // namespace qoc::device::reference

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <variant>
 
+#include "pulse/waveform.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
 
@@ -120,6 +121,45 @@ TEST(DefaultGates, CxEchoIsCalibratedToZx90) {
         double diff = conditional_angle(sup, 0) - conditional_angle(sup, 1);
         if (diff < 0.0) diff += 2.0 * M_PI;
         EXPECT_LT(std::abs(diff - M_PI), 1e-9) << cfg.name;
+    }
+}
+
+TEST(DefaultGates, PiAmplitudesPinnedToRecordedBits) {
+    // The Rabi sweeps behind the default gates, pinned bit for bit: values
+    // recorded when every sweep sample still formed its Pade propagator.
+    // The action of the exponential differs from that route by ~1e-14 in
+    // P1, which flips no shot, so the fit and every default pulse built on
+    // it must come out identical.
+    struct Golden {
+        BackendConfig cfg;
+        double pi_amp[2];
+    };
+    const Golden goldens[] = {
+        {ibmq_montreal(), {0x1.2d07847dc8d8p-3, 0x1.2e9bea84ce727p-3}},
+        {ibmq_toronto(), {0x1.2d0dd8160c7ddp-3, 0x1.2ea60675bc32ap-3}},
+    };
+    const DefaultGateOptions opts;
+    for (const Golden& g : goldens) {
+        const PulseExecutor exec(g.cfg);
+        const auto map = build_default_gates(exec, opts);
+        for (std::size_t q = 0; q < 2; ++q) {
+            RabiOptions rabi;
+            rabi.pulse_duration_dt = opts.gate_duration_dt;
+            rabi.shots = opts.calibration_shots;
+            rabi.seed = opts.seed + 100 * q;
+            EXPECT_EQ(rabi_calibrate(exec, q, rabi).pi_amplitude, g.pi_amp[q])
+                << g.cfg.name << " qubit " << q;
+            // The x default plays exactly the DRAG pulse of that amplitude.
+            const double beta =
+                opts.drag_beta_scale * default_drag_beta(g.cfg, q, opts.gate_duration_dt);
+            const auto expected = pulse::drag_waveform(opts.gate_duration_dt,
+                                                       {g.pi_amp[q], 0.0}, beta,
+                                                       opts.drag_sigma_fraction);
+            const auto& play =
+                std::get<pulse::Play>(map.get("x", {q}).instructions().front().second);
+            EXPECT_EQ(play.waveform.samples(), expected.samples())
+                << g.cfg.name << " qubit " << q;
+        }
     }
 }
 

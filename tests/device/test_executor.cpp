@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <map>
 #include <numbers>
+#include <random>
+#include <string>
 
 #include "device/calibration.hpp"
+#include "linalg/kron.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/states.hpp"
@@ -209,6 +215,75 @@ TEST(Executor, DefaultXFidelityAtPaperScale) {
     // Paper scale: default 1Q error a few 1e-4.
     EXPECT_GT(err, 1e-5);
     EXPECT_LT(err, 5e-3);
+}
+
+/// The two-qubit readout as a histogram filled shot by shot through a
+/// string-keyed map, with the executor's confusion arithmetic: the replay
+/// the executor's tally must match bit for bit.
+std::map<std::string, int> map_replay_2q(const BackendConfig& cfg,
+                                         const std::array<double, 4>& true_p, int shots,
+                                         std::uint64_t seed) {
+    double norm = true_p[0] + true_p[1] + true_p[2] + true_p[3];
+    if (norm <= 0.0) norm = 1.0;
+    auto flip = [&](std::size_t q, int read, int truth) {
+        const auto& p = cfg.qubit(q);
+        if (truth == 0) return read == 1 ? p.readout_p10 : 1.0 - p.readout_p10;
+        return read == 0 ? p.readout_p01 : 1.0 - p.readout_p01;
+    };
+    std::array<double, 4> read_p{};
+    for (int r0 = 0; r0 < 2; ++r0)
+        for (int r1 = 0; r1 < 2; ++r1)
+            for (int t0 = 0; t0 < 2; ++t0)
+                for (int t1 = 0; t1 < 2; ++t1)
+                    read_p[r0 * 2 + r1] +=
+                        (true_p[t0 * 2 + t1] / norm) * flip(0, r0, t0) * flip(1, r1, t1);
+    std::mt19937_64 rng(seed);
+    std::discrete_distribution<int> dist(read_p.begin(), read_p.end());
+    static const char* labels[4] = {"00", "01", "10", "11"};
+    std::map<std::string, int> hist;
+    for (int s = 0; s < shots; ++s) hist[labels[dist(rng)]]++;
+    return hist;
+}
+
+TEST(Measure2qDeterminism, TallyMatchesMapReplay) {
+    BackendConfig noiseless = ibmq_montreal();
+    for (auto& q : noiseless.qubits) q.readout_p01 = q.readout_p10 = 0.0;
+    const std::array<double, 4> populations[] = {
+        {0.25, 0.25, 0.25, 0.25}, {0.7, 0.1, 0.15, 0.05}, {1.0, 0.0, 0.0, 0.0},
+        {0.0, 0.5, 0.5, 0.0},     {0.0, 0.0, 0.0, 1.0}};
+    for (const BackendConfig& cfg : {ibmq_montreal(), noiseless}) {
+        const PulseExecutor exec(cfg);
+        for (const auto& pop : populations) {
+            Mat rho(4, 4);
+            for (std::size_t k = 0; k < 4; ++k) rho(k, k) = pop[k];
+            const Mat vec_rho = linalg::vec(rho);
+            for (std::uint64_t seed : {1u, 7u, 42u, 2021u}) {
+                for (int shots : {1, 100, 8192}) {
+                    const auto replay = map_replay_2q(cfg, pop, shots, seed);
+                    const Counts c = exec.measure_2q(rho, shots, seed);
+                    EXPECT_EQ(c.histogram, replay) << "seed " << seed << " shots " << shots;
+                    EXPECT_EQ(c.shots, shots);
+                    EXPECT_EQ(exec.measure_2q_vec(vec_rho, shots, seed).histogram, replay);
+                }
+            }
+        }
+    }
+}
+
+TEST(Measure2qDeterminism, ZeroPopulationLeavesItsKeyAbsent) {
+    // Without readout error a state with no |01> and |10> population never
+    // reads them: those keys must not appear, not even with a zero count.
+    BackendConfig cfg = ibmq_montreal();
+    for (auto& q : cfg.qubits) q.readout_p01 = q.readout_p10 = 0.0;
+    const PulseExecutor exec(cfg);
+    Mat rho(4, 4);
+    rho(0, 0) = 0.5;
+    rho(3, 3) = 0.5;
+    const Counts c = exec.measure_2q(rho, 8192, 5);
+    EXPECT_EQ(c.histogram.size(), 2u);
+    EXPECT_EQ(c.histogram.count("01"), 0u);
+    EXPECT_EQ(c.histogram.count("10"), 0u);
+    EXPECT_EQ(c.histogram.at("00") + c.histogram.at("11"), 8192);
 }
 
 }  // namespace

@@ -1,36 +1,62 @@
-#include "dynamics/integrator.hpp"
+/// Adaptive Runge-Kutta (Dormand-Prince 5(4)) integrator for matrix ODEs
+/// and, on top of it, the Lindblad master equation (paper Eq. 1) with a
+/// time-dependent Hamiltonian.  It shares no code with the piecewise-constant
+/// propagators or the executor, so the dynamics tests hold those against an
+/// independent time stepper.
+
+#pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
+#include "linalg/matrix.hpp"
 #include "quantum/superop_kron.hpp"
 
-namespace qoc::dynamics {
+namespace qoc::dynamics::reference {
 
-namespace {
-using linalg::cplx;
-constexpr cplx kI{0.0, 1.0};
+using linalg::Mat;
 
-// Dormand-Prince 5(4) tableau.
-constexpr double c2 = 1.0 / 5, c3 = 3.0 / 10, c4 = 4.0 / 5, c5 = 8.0 / 9;
-constexpr double a21 = 1.0 / 5;
-constexpr double a31 = 3.0 / 40, a32 = 9.0 / 40;
-constexpr double a41 = 44.0 / 45, a42 = -56.0 / 15, a43 = 32.0 / 9;
-constexpr double a51 = 19372.0 / 6561, a52 = -25360.0 / 2187, a53 = 64448.0 / 6561,
-                 a54 = -212.0 / 729;
-constexpr double a61 = 9017.0 / 3168, a62 = -355.0 / 33, a63 = 46732.0 / 5247,
-                 a64 = 49.0 / 176, a65 = -5103.0 / 18656;
-constexpr double b1 = 35.0 / 384, b3 = 500.0 / 1113, b4 = 125.0 / 192, b5 = -2187.0 / 6784,
-                 b6 = 11.0 / 84;
-// Embedded 4th-order weights.
-constexpr double e1 = 5179.0 / 57600, e3 = 7571.0 / 16695, e4 = 393.0 / 640,
-                 e5 = -92097.0 / 339200, e6 = 187.0 / 2100, e7 = 1.0 / 40;
+/// Right-hand side of dX/dt = f(t, X); X is a ket, density matrix or
+/// vectorized state.
+using MatrixRhs = std::function<Mat(double t, const Mat& x)>;
 
-}  // namespace
+struct IntegratorOptions {
+    double rtol = 1e-9;
+    double atol = 1e-11;
+    double initial_step = 1e-3;
+    double min_step = 1e-12;
+    std::size_t max_steps = 2'000'000;
+};
 
-IntegrationResult integrate_rk45(const MatrixRhs& rhs, const Mat& x0, double t0, double t1,
-                                 const IntegratorOptions& opts) {
+struct IntegrationResult {
+    Mat state;
+    std::size_t steps_taken = 0;
+    std::size_t steps_rejected = 0;
+};
+
+/// Integrates dX/dt = rhs(t, X) from (t0, x0) to t1 with adaptive
+/// Dormand-Prince 5(4).  Throws `std::runtime_error` when the step size
+/// underflows or the step budget is exhausted.
+inline IntegrationResult integrate_rk45(const MatrixRhs& rhs, const Mat& x0, double t0,
+                                        double t1, const IntegratorOptions& opts = {}) {
+    // Dormand-Prince 5(4) tableau.
+    constexpr double c2 = 1.0 / 5, c3 = 3.0 / 10, c4 = 4.0 / 5, c5 = 8.0 / 9;
+    constexpr double a21 = 1.0 / 5;
+    constexpr double a31 = 3.0 / 40, a32 = 9.0 / 40;
+    constexpr double a41 = 44.0 / 45, a42 = -56.0 / 15, a43 = 32.0 / 9;
+    constexpr double a51 = 19372.0 / 6561, a52 = -25360.0 / 2187, a53 = 64448.0 / 6561,
+                     a54 = -212.0 / 729;
+    constexpr double a61 = 9017.0 / 3168, a62 = -355.0 / 33, a63 = 46732.0 / 5247,
+                     a64 = 49.0 / 176, a65 = -5103.0 / 18656;
+    constexpr double b1 = 35.0 / 384, b3 = 500.0 / 1113, b4 = 125.0 / 192, b5 = -2187.0 / 6784,
+                     b6 = 11.0 / 84;
+    // Embedded 4th-order weights.
+    constexpr double e1 = 5179.0 / 57600, e3 = 7571.0 / 16695, e4 = 393.0 / 640,
+                     e5 = -92097.0 / 339200, e6 = 187.0 / 2100, e7 = 1.0 / 40;
+
     IntegrationResult res;
     res.state = x0;
     if (t1 == t0) return res;
@@ -84,9 +110,13 @@ IntegrationResult integrate_rk45(const MatrixRhs& rhs, const Mat& x0, double t0,
     return res;
 }
 
-Mat evolve_master_equation(const std::function<Mat(double)>& hamiltonian,
-                           const std::vector<Mat>& collapse_ops, const Mat& rho0, double t0,
-                           double t1, const IntegratorOptions& options) {
+/// Evolves a density matrix under a time-dependent Hamiltonian and fixed
+/// collapse operators (the paper's Eq. 1) with RK45.
+inline Mat evolve_master_equation(const std::function<Mat(double)>& hamiltonian,
+                                  const std::vector<Mat>& collapse_ops, const Mat& rho0,
+                                  double t0, double t1, const IntegratorOptions& options = {}) {
+    using linalg::cplx;
+    constexpr cplx kI{0.0, 1.0};
     // Only the Hamiltonian varies in time: keep the dissipator as a
     // Kronecker-factored superoperator (one C rho C^dag pair per collapse
     // operator plus the two one-sided anticommutator halves), applied in
@@ -114,4 +144,4 @@ Mat evolve_master_equation(const std::function<Mat(double)>& hamiltonian,
     return integrate_rk45(rhs, rho0, t0, t1, options).state;
 }
 
-}  // namespace qoc::dynamics
+}  // namespace qoc::dynamics::reference

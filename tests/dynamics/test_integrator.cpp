@@ -1,10 +1,9 @@
-#include "dynamics/integrator.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
+#include "dynamics/integrator_reference.hpp"
 #include "dynamics/propagator.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/expm_hermitian_reference.hpp"
@@ -14,6 +13,10 @@
 namespace qoc::dynamics {
 namespace {
 
+using reference::evolve_master_equation;
+using reference::integrate_rk45;
+using reference::IntegratorOptions;
+using reference::MatrixRhs;
 using linalg::cplx;
 using quantum::basis_ket;
 using quantum::ket_to_dm;

@@ -1,7 +1,8 @@
-/// Reference unitary propagator `exp(-i H t)` of a Hermitian `H`, built
-/// through its Jacobi spectrum: `V diag(e^{-i w t}) V^dagger`.  It shares no
-/// code with the Pade engine in linalg/expm, so the exponential tests and
-/// the integrator tests hold the two together.
+/// Functions of a Hermitian matrix through its Jacobi spectrum: any real
+/// `f(A) = V diag(f(w)) V^dagger`, and the unitary propagator
+/// `exp(-i H t) = V diag(e^{-i w t}) V^dagger`.  They share no code with the
+/// Pade engine in linalg/expm, so the exponential tests and the integrator
+/// tests hold the two together.
 
 #pragma once
 
@@ -11,6 +12,14 @@
 #include "linalg/matrix.hpp"
 
 namespace qoc::linalg::reference {
+
+inline Mat hermitian_function(const Mat& a, double (*f)(double)) {
+    const EigH e = eig_hermitian(a);
+    const std::size_t n = a.rows();
+    Mat d(n, n);
+    for (std::size_t i = 0; i < n; ++i) d(i, i) = cplx{f(e.eigenvalues[i]), 0.0};
+    return e.eigenvectors * d * e.eigenvectors.adjoint();
+}
 
 inline Mat expm_hermitian(const Mat& h, double t) {
     const EigH e = eig_hermitian(h);
