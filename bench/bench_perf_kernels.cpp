@@ -15,7 +15,9 @@
 #include "experiments/gate_designer.hpp"
 #include "experiments/irb_experiment.hpp"
 #include "linalg/expm.hpp"
+#include "linalg/lu.hpp"
 #include "obs/obs.hpp"
+#include "optim/lbfgsb.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
@@ -50,6 +52,68 @@ void BM_ExpmBySize(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ExpmBySize)->Arg(2)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
+
+// --- Pade denominator solve --------------------------------------------------
+//
+// Factor V - U-like matrices (identity plus a small Hermitian part, as the
+// Pade denominators of GRAPE slot exponentials are) and solve for n
+// right-hand sides, the shape of every expm's denominator solve.
+
+void BM_LuFactorSolve(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const linalg::Mat a =
+        linalg::Mat::identity(n) + linalg::cplx{0.0, -0.3} * random_hermitian(n, 17);
+    const linalg::Mat b = random_hermitian(n, 19);
+    linalg::Lu lu;
+    linalg::Mat x;
+    for (auto _ : state) {
+        lu.factor(a);
+        lu.solve_into(b, x);
+        benchmark::DoNotOptimize(x.data().data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_LuFactorSolve)->Arg(2)->Arg(3)->Arg(9)->Arg(16);
+
+// --- L-BFGS-B bookkeeping -----------------------------------------------------
+//
+// Whole solves of a 40-iteration budget over an O(n) box-bounded Rosenbrock
+// at GRAPE parameter counts (n = 48: 24 slots x 2 controls; n = 192:
+// 48 slots x 4), so the time is the optimizer's own work per iteration:
+// middle matrix, Cauchy point, subspace step, line search.  items/s counts
+// optimizer iterations.
+
+void BM_LbfgsBIteration(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const optim::Objective rosenbrock = [](const std::vector<double>& x,
+                                           std::vector<double>& g) {
+        double f = 0.0;
+        for (double& v : g) v = 0.0;
+        for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+            const double a = x[i + 1] - x[i] * x[i];
+            const double b = 1.0 - x[i];
+            f += 100.0 * a * a + b * b;
+            g[i] += -400.0 * a * x[i] - 2.0 * b;
+            g[i + 1] += 200.0 * a;
+        }
+        return f;
+    };
+    std::vector<double> x0(n);
+    for (std::size_t i = 0; i < n; ++i) x0[i] = (i % 2 == 0) ? -1.2 : 1.0;
+    const optim::Bounds bounds = optim::Bounds::uniform(n, -1.5, 0.9);
+    optim::LbfgsBOptions opts;
+    opts.max_iterations = 40;
+    opts.pg_tol = 0.0;
+    opts.f_tol = 0.0;
+    std::int64_t iterations = 0;
+    for (auto _ : state) {
+        const optim::OptimResult res = optim::lbfgsb_minimize(rosenbrock, x0, bounds, opts);
+        iterations += res.iterations;
+        benchmark::DoNotOptimize(res.f);
+    }
+    state.SetItemsProcessed(iterations);
+}
+BENCHMARK(BM_LbfgsBIteration)->Arg(48)->Arg(192);
 
 // --- action of the exponential against propagator-then-product --------------
 //

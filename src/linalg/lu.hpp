@@ -11,7 +11,8 @@ namespace qoc::linalg {
 
 /// LU factorization `P A = L U` of a square complex matrix with partial
 /// (row) pivoting.  L has unit diagonal and is stored, together with U, in
-/// the packed factor matrix.
+/// the packed factor matrix; the reciprocals of U's diagonal are kept beside
+/// it, so neither the factorization nor a solve divides complex numbers.
 class Lu {
 public:
     /// Creates an empty factorization; call `factor` before use.
@@ -49,8 +50,12 @@ public:
     /// Inverse of the original matrix.
     Mat inverse() const;
 
+    /// Row permutation: row i of `P A` is row `permutation()[i]` of `A`.
+    const std::vector<std::size_t>& permutation() const noexcept { return piv_; }
+
 private:
     Mat lu_;                       // packed L (unit diag, below) and U (on/above)
+    std::vector<cplx> rdiag_;      // 1 / U(k, k), by Smith's scaling
     std::vector<std::size_t> piv_; // row permutation
     int pivot_sign_ = 1;
     bool singular_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -132,11 +133,26 @@ double Mat::max_abs() const {
     return m;
 }
 
+namespace {
+
+/// |z| as sqrt(re^2 + im^2) while the square is a normal double (no `hypot`
+/// call); zero, under- or overflowed squares and NaNs take `std::abs`.
+double modulus(cplx z) {
+    const double sq = z.real() * z.real() + z.imag() * z.imag();
+    if (sq >= std::numeric_limits<double>::min() && sq <= std::numeric_limits<double>::max()) {
+        return std::sqrt(sq);
+    }
+    if (z == cplx{0.0, 0.0}) return 0.0;
+    return std::abs(z);
+}
+
+}  // namespace
+
 double Mat::norm_1() const {
     double best = 0.0;
     for (std::size_t j = 0; j < cols_; ++j) {
         double colsum = 0.0;
-        for (std::size_t i = 0; i < rows_; ++i) colsum += std::abs((*this)(i, j));
+        for (std::size_t i = 0; i < rows_; ++i) colsum += modulus((*this)(i, j));
         if (std::isnan(colsum)) return colsum;  // std::max would drop a NaN
         best = std::max(best, colsum);
     }

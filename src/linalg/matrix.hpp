@@ -111,7 +111,9 @@ public:
     double max_abs() const;
 
     /// Induced 1-norm (max absolute column sum); used by expm scaling.
-    /// NaN when any entry is NaN.
+    /// Moduli are sqrt(re^2 + im^2) without a `hypot` call, falling back to
+    /// `std::abs` where the square under- or overflows.  NaN when any entry
+    /// is NaN.
     double norm_1() const;
 
     /// True when `|a_ij - a_ji^*| <= tol` for all entries.

@@ -35,6 +35,12 @@ inline void cfms(cplx& acc, const cplx a, const cplx b) noexcept {
     acc = cplx{acc.real() - pr, acc.imag() - pi};
 }
 
+/// x = r * x as the product alone (no accumulator).
+inline void cscale(cplx& x, const cplx r) noexcept {
+    x = cplx{std::fma(x.real(), r.real(), -(r.imag() * x.imag())),
+             std::fma(x.imag(), r.real(), r.imag() * x.real())};
+}
+
 void gemm_raw_scalar(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t k,
                      std::size_t n, bool accumulate) noexcept {
     for (std::size_t i = 0; i < m; ++i) {
@@ -94,7 +100,8 @@ void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
     }
 }
 
-void lu_substitute_scalar(const cplx* lu, std::size_t n, cplx* x, std::size_t m) noexcept {
+void lu_substitute_scalar(const cplx* lu, const cplx* rdiag, std::size_t n, cplx* x,
+                          std::size_t m) noexcept {
     for (std::size_t i = 1; i < n; ++i) {
         cplx* xi = x + i * m;
         for (std::size_t k = 0; k < i; ++k) {
@@ -112,8 +119,7 @@ void lu_substitute_scalar(const cplx* lu, std::size_t n, cplx* x, std::size_t m)
             const cplx* xk = x + k * m;
             for (std::size_t j = 0; j < m; ++j) cfms(xi[j], u, xk[j]);
         }
-        const cplx d = lu[i * n + i];
-        for (std::size_t j = 0; j < m; ++j) xi[j] /= d;
+        for (std::size_t j = 0; j < m; ++j) cscale(xi[j], rdiag[i]);
     }
 }
 
@@ -392,8 +398,9 @@ __attribute__((target("avx2,fma"))) inline void lu_row_sub(__m256d* acc, cplx& t
 /// row pair.  Each element still takes `x_i -= l * x_k` over ascending k,
 /// skipping zero factors, exactly as a sequence of per-row-pair updates.
 template <int JV, bool TAIL>
-__attribute__((target("avx2,fma"))) void lu_chunk_avx2(const cplx* lu, std::size_t n, cplx* x,
-                                                       std::size_t m, std::size_t j0) noexcept {
+__attribute__((target("avx2,fma"))) void lu_chunk_avx2(const cplx* lu, const cplx* rdiag,
+                                                       std::size_t n, cplx* x, std::size_t m,
+                                                       std::size_t j0) noexcept {
     __m256d acc[JV > 0 ? JV : 1];
     cplx tacc{0.0, 0.0};
     for (std::size_t pass = 0; pass < 2; ++pass) {
@@ -411,45 +418,52 @@ __attribute__((target("avx2,fma"))) void lu_chunk_avx2(const cplx* lu, std::size
                 if (l == cplx{0.0, 0.0}) continue;
                 lu_row_sub<JV, TAIL>(acc, tacc, l, x + k * m + j0);
             }
+            if (!forward) {
+                // x_i = rdiag_i * x_i in the cfma2 lane arithmetic.
+                const __m256d rr = _mm256_set1_pd(rdiag[i].real());
+                const __m256d ri = _mm256_set1_pd(rdiag[i].imag());
+                for (int v = 0; v < JV; ++v) {
+                    const __m256d swapped = _mm256_permute_pd(acc[v], 0b0101);
+                    acc[v] = _mm256_fmaddsub_pd(acc[v], rr, _mm256_mul_pd(swapped, ri));
+                }
+                if (TAIL) cscale(tacc, rdiag[i]);
+            }
             for (int v = 0; v < JV; ++v) _mm256_storeu_pd(xd + 4 * v, acc[v]);
             if (TAIL) xi[2 * JV] = tacc;
-            if (!forward) {
-                const cplx d = lu[i * n + i];
-                for (std::size_t j = 0; j < 2 * JV + (TAIL ? 1 : 0); ++j) xi[j] /= d;
-            }
         }
     }
 }
 
 template <bool TAIL>
-__attribute__((target("avx2,fma"))) void lu_chunk_dispatch(const cplx* lu, std::size_t n,
-                                                           cplx* x, std::size_t m,
-                                                           std::size_t j0,
+__attribute__((target("avx2,fma"))) void lu_chunk_dispatch(const cplx* lu, const cplx* rdiag,
+                                                           std::size_t n, cplx* x,
+                                                           std::size_t m, std::size_t j0,
                                                            std::size_t jv) noexcept {
     switch (jv) {
-        case 0: lu_chunk_avx2<0, TAIL>(lu, n, x, m, j0); break;
-        case 1: lu_chunk_avx2<1, TAIL>(lu, n, x, m, j0); break;
-        case 2: lu_chunk_avx2<2, TAIL>(lu, n, x, m, j0); break;
-        case 3: lu_chunk_avx2<3, TAIL>(lu, n, x, m, j0); break;
-        case 4: lu_chunk_avx2<4, TAIL>(lu, n, x, m, j0); break;
-        case 5: lu_chunk_avx2<5, TAIL>(lu, n, x, m, j0); break;
-        case 6: lu_chunk_avx2<6, TAIL>(lu, n, x, m, j0); break;
-        case 7: lu_chunk_avx2<7, TAIL>(lu, n, x, m, j0); break;
-        default: lu_chunk_avx2<8, TAIL>(lu, n, x, m, j0); break;
+        case 0: lu_chunk_avx2<0, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 1: lu_chunk_avx2<1, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 2: lu_chunk_avx2<2, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 3: lu_chunk_avx2<3, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 4: lu_chunk_avx2<4, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 5: lu_chunk_avx2<5, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 6: lu_chunk_avx2<6, TAIL>(lu, rdiag, n, x, m, j0); break;
+        case 7: lu_chunk_avx2<7, TAIL>(lu, rdiag, n, x, m, j0); break;
+        default: lu_chunk_avx2<8, TAIL>(lu, rdiag, n, x, m, j0); break;
     }
 }
 
 /// Columns are independent in both substitutions, so the right-hand sides
 /// are solved chunk by chunk.
-__attribute__((target("avx2,fma"))) void lu_substitute_avx2(const cplx* lu, std::size_t n,
-                                                            cplx* x, std::size_t m) noexcept {
+__attribute__((target("avx2,fma"))) void lu_substitute_avx2(const cplx* lu, const cplx* rdiag,
+                                                            std::size_t n, cplx* x,
+                                                            std::size_t m) noexcept {
     for (std::size_t j0 = 0; j0 < m; j0 += kChunkCols) {
         const std::size_t jn = std::min(kChunkCols, m - j0);
         const std::size_t jv = jn / 2;
         if ((jn & 1) != 0) {
-            lu_chunk_dispatch<true>(lu, n, x, m, j0, jv);
+            lu_chunk_dispatch<true>(lu, rdiag, n, x, m, j0, jv);
         } else {
-            lu_chunk_dispatch<false>(lu, n, x, m, j0, jv);
+            lu_chunk_dispatch<false>(lu, rdiag, n, x, m, j0, jv);
         }
     }
 }
@@ -532,14 +546,15 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
     csr_gemm_raw_scalar(vals, cols, rowptr, m, b, c, n, accumulate);
 }
 
-void lu_substitute(const cplx* lu, std::size_t n, cplx* x, std::size_t m) noexcept {
+void lu_substitute(const cplx* lu, const cplx* rdiag, std::size_t n, cplx* x,
+                   std::size_t m) noexcept {
 #if defined(QOC_HAVE_AVX2_PATH)
     if (use_avx2()) {
-        lu_substitute_avx2(lu, n, x, m);
+        lu_substitute_avx2(lu, rdiag, n, x, m);
         return;
     }
 #endif
-    lu_substitute_scalar(lu, n, x, m);
+    lu_substitute_scalar(lu, rdiag, n, x, m);
 }
 
 }  // namespace qoc::linalg::simd

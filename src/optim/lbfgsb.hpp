@@ -8,6 +8,10 @@
 /// Wolfe line search.  This is the optimizer the paper refers to as
 /// "second-order GRAPE": QuTiP's `pulseoptim` drives SciPy's
 /// `fmin_l_bfgs_b`, which implements the same algorithm.
+///
+/// A solve sizes every workspace once (an m x n ring of correction pairs,
+/// their cached products, in-place LUs of the 2m x 2m middle systems), so
+/// an iteration performs no heap allocation (DESIGN.md §14).
 
 #pragma once
 
@@ -20,7 +24,7 @@ namespace qoc::optim {
 
 /// Tuning knobs for LbfgsB.  Defaults mirror SciPy's `fmin_l_bfgs_b`.
 struct LbfgsBOptions {
-    int memory = 10;            ///< number of (s, y) correction pairs kept
+    int memory = 10;            ///< number of (s, y) correction pairs kept (>= 0)
     int max_iterations = 500;
     int max_evaluations = 5000;
     double pg_tol = 1e-9;       ///< max-norm of the projected gradient

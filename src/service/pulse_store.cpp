@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "io/io.hpp"
 #include "util/fnv1a.hpp"
@@ -219,6 +221,13 @@ StoredPulse from_record(const io::PulseStoreRecord& r) {
     p.design_count = r.design_count;
     p.validated = r.validated_bits;
     for (const auto& rc : r.channels) {
+        if (rc.type > static_cast<std::uint64_t>(pulse::ChannelType::kMeasure)) {
+            throw std::runtime_error("PulseStore: record " + std::to_string(r.key) +
+                                     " has channel type " + std::to_string(rc.type) +
+                                     ", past kMeasure (" +
+                                     std::to_string(static_cast<int>(pulse::ChannelType::kMeasure)) +
+                                     ")");
+        }
         StoredPulse::ChannelSamples ch;
         ch.channel.type = static_cast<pulse::ChannelType>(rc.type);
         ch.channel.index = rc.index;
@@ -241,16 +250,40 @@ void PulseStore::save_jsonl(const std::string& path) const {
               [](const io::PulseStoreRecord& a, const io::PulseStoreRecord& b) {
                   return a.key < b.key;
               });
-    std::ofstream os(path);
-    if (!os) throw std::runtime_error("PulseStore::save_jsonl: cannot open " + path);
-    io::write_pulse_store_jsonl(os, records);
+    // Write beside the live file, then rename over it: a save that fails
+    // or is interrupted leaves the previous store byte-identical.
+    const std::string tmp = path + ".tmp";
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os) throw std::runtime_error("PulseStore::save_jsonl: cannot open " + tmp);
+    auto fail = [&](const std::string& what) {
+        os.close();
+        std::remove(tmp.c_str());
+        throw std::runtime_error("PulseStore::save_jsonl: " + what + " " + tmp);
+    };
+    try {
+        io::write_pulse_store_jsonl(os, records);
+    } catch (const std::exception& e) {
+        fail(std::string("write failed (") + e.what() + ") for");
+    }
+    os.flush();
+    if (!os) fail("write failed for");
+    os.close();
+    if (!os) fail("close failed for");
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        throw std::runtime_error("PulseStore::save_jsonl: cannot rename " + tmp + " to " + path);
+    }
 }
 
 std::size_t PulseStore::load_jsonl(const std::string& path) {
     std::ifstream is(path);
     if (!is) return 0;  // warm-start is best-effort: no file means a cold cache
     const auto records = io::read_pulse_store_jsonl(is);
-    for (const auto& r : records) put(from_record(r));
+    // Validate every record before the first one enters the store.
+    std::vector<StoredPulse> pulses;
+    pulses.reserve(records.size());
+    for (const auto& r : records) pulses.push_back(from_record(r));
+    for (auto& p : pulses) put(std::move(p));
     return records.size();
 }
 

@@ -143,8 +143,12 @@ public:
 
     /// JSONL persistence (bitwise round trip; see the file comment).
     /// `save_jsonl` writes entries sorted by key so the file is
-    /// content-deterministic; `load_jsonl` merges records into the store
-    /// (existing keys are replaced) and returns how many were loaded.
+    /// content-deterministic, into `path + ".tmp"` first and then renamed
+    /// over `path`; on failure it removes the temp file, throws
+    /// `std::runtime_error` and leaves any previous file byte-identical.
+    /// `load_jsonl` validates every record (a channel type past `kMeasure`
+    /// throws `std::runtime_error` naming it), then merges them into the
+    /// store (existing keys are replaced) and returns how many were loaded.
     void save_jsonl(const std::string& path) const;
     std::size_t load_jsonl(const std::string& path);
 

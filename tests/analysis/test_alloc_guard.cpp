@@ -32,6 +32,7 @@
 #include "device/executor.hpp"
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
+#include "optim/lbfgsb.hpp"
 #include "pulse/waveform.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -146,6 +147,9 @@ TEST_F(AllocGuardTest, RbRunAllocDeterministicAndBudgeted) {
 TEST_F(AllocGuardTest, GrapeObjectiveAllocationFreeAfterWarmup) {
     GTEST_SKIP() << "contracts compiled in: invariant checks allocate scratch by design";
 }
+TEST_F(AllocGuardTest, LbfgsBSteadyIterationAllocatesNothing) {
+    GTEST_SKIP() << "contracts compiled in: invariant checks allocate scratch by design";
+}
 
 #else  // !QOC_CONTRACTS_ENABLED
 
@@ -202,6 +206,45 @@ TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
     RecordProperty("worst_steady_iter_allocs", static_cast<int>(worst));
     EXPECT_LE(worst, kGrapeIterAllocBudget)
         << "a steady-state GRAPE iteration gained heap allocations";
+}
+
+TEST_F(AllocGuardTest, LbfgsBSteadyIterationAllocatesNothing) {
+    // L-BFGS-B sizes every workspace once per solve (correction ring, cached
+    // products, middle-matrix LUs, Cauchy and subspace buffers): after
+    // warm-up, an iteration over an allocation-free objective performs no
+    // heap allocation at all, also once the 10-pair ring has wrapped and
+    // while bounds are active.
+    const std::size_t n = 48;
+    const optim::Objective rosenbrock = [](const std::vector<double>& x,
+                                           std::vector<double>& g) {
+        double f = 0.0;
+        for (double& v : g) v = 0.0;
+        for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+            const double a = x[i + 1] - x[i] * x[i];
+            const double b = 1.0 - x[i];
+            f += 100.0 * a * a + b * b;
+            g[i] += -400.0 * a * x[i] - 2.0 * b;
+            g[i + 1] += 200.0 * a;
+        }
+        return f;
+    };
+    std::vector<double> x0(n);
+    for (std::size_t i = 0; i < n; ++i) x0[i] = (i % 2 == 0) ? -1.2 : 1.0;
+
+    optim::LbfgsBOptions opts;
+    opts.max_iterations = 40;
+    opts.pg_tol = 0.0;
+    opts.f_tol = 0.0;
+    std::vector<std::uint64_t> marks;
+    marks.reserve(64);  // keep the callback itself allocation-free
+    opts.iter_callback = [&](const optim::IterationRecord&) {
+        marks.push_back(testing::alloc_count());
+    };
+    optim::lbfgsb_minimize(rosenbrock, x0, optim::Bounds::uniform(n, -1.5, 0.9), opts);
+    ASSERT_GE(marks.size(), 16u);
+    for (std::size_t i = 2; i < marks.size(); ++i) {
+        EXPECT_EQ(marks[i] - marks[i - 1], 0u) << "iteration " << i << " allocated";
+    }
 }
 
 /// Open-system twin of `small_transmon_problem`: the qutrit Liouvillian

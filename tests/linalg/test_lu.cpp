@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
 #include <random>
+#include <vector>
 
 #include "linalg/simd_kernels.hpp"
 
@@ -87,6 +90,76 @@ TEST(Lu, PivotingHandlesZeroLeadingEntry) {
     const Mat x = solve(a, Mat::col_vector({cplx{3.0}, cplx{4.0}}));
     EXPECT_NEAR(std::abs(x(0, 0) - cplx{4.0}), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(x(1, 0) - cplx{3.0}), 0.0, 1e-12);
+}
+
+/// Gaussian elimination with partial pivoting in long double: the reference
+/// for solves whose pivots sit far from 1 in magnitude.
+std::vector<std::complex<long double>> solve_long_double(const Mat& a, const Mat& b) {
+    using lcplx = std::complex<long double>;
+    const std::size_t n = a.rows();
+    std::vector<std::vector<lcplx>> m(n, std::vector<lcplx>(n + 1));
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) m[i][j] = lcplx(a(i, j).real(), a(i, j).imag());
+        m[i][n] = lcplx(b(i, 0).real(), b(i, 0).imag());
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t p = k;
+        for (std::size_t i = k + 1; i < n; ++i)
+            if (std::abs(m[i][k]) > std::abs(m[p][k])) p = i;
+        std::swap(m[k], m[p]);
+        for (std::size_t i = k + 1; i < n; ++i) {
+            const lcplx f = m[i][k] / m[k][k];
+            for (std::size_t j = k; j <= n; ++j) m[i][j] -= f * m[k][j];
+        }
+    }
+    std::vector<lcplx> x(n);
+    for (std::size_t i = n; i-- > 0;) {
+        lcplx acc = m[i][n];
+        for (std::size_t j = i + 1; j < n; ++j) acc -= m[i][j] * x[j];
+        x[i] = acc / m[i][i];
+    }
+    return x;
+}
+
+TEST(Lu, TinyPivotAboveSingularThresholdSolvesFinitely) {
+    // Column 0 holds only entries near 1e-200: their squared moduli underflow,
+    // so the pivot is ranked by |z|, and 1e-200 is far above the 1e-300
+    // singular threshold.  The factorization must solve finitely and agree
+    // with a long double elimination.
+    const Mat a{{cplx{0.5e-200, 0.0}, 2.0, 1.0},
+                {cplx{1e-200, 1e-200}, 1.0, cplx{0.0, 2.0}},
+                {cplx{0.0, -0.25e-200}, cplx{1.0, -1.0}, 3.0}};
+    const Mat b = Mat::col_vector({cplx{1.0, 0.5}, cplx{-2.0}, cplx{0.0, 1.0}});
+    const Lu f(a);
+    ASSERT_FALSE(f.singular());
+    const Mat x = f.solve(b);
+    const auto want = solve_long_double(a, b);
+    for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_TRUE(std::isfinite(x(i, 0).real()) && std::isfinite(x(i, 0).imag())) << i;
+        const std::complex<long double> got(x(i, 0).real(), x(i, 0).imag());
+        EXPECT_LT(static_cast<double>(std::abs(got - want[i]) / std::abs(want[i])), 1e-10)
+            << "component " << i;
+    }
+    // The pivot row is the largest |z| in column 0 (row 1), although every
+    // square in that column underflows to the same zero.
+    EXPECT_EQ(f.permutation()[0], 1u);
+}
+
+TEST(Lu, ExactMagnitudeTieKeepsTheFirstRow) {
+    // |5| = |3+4i| = |-5i| = |4-3i| exactly, and so are their squares: the
+    // first of the tied rows at or below the diagonal wins, as under a
+    // strict |z| comparison.
+    const std::vector<cplx> column = {cplx{1.0, 0.0}, cplx{3.0, 4.0}, cplx{5.0, 0.0},
+                                      cplx{0.0, -5.0}, cplx{4.0, -3.0}};
+    Mat a = random_matrix(5, 31);
+    for (std::size_t i = 0; i < 5; ++i) a(i, 0) = column[i];
+    std::size_t first_max = 0;
+    for (std::size_t i = 1; i < 5; ++i)
+        if (std::abs(column[i]) > std::abs(column[first_max])) first_max = i;
+    ASSERT_EQ(first_max, 1u);
+    const Lu f(a);
+    EXPECT_EQ(f.permutation()[0], first_max);
+    EXPECT_LT((a * f.solve(Mat::identity(5)) - Mat::identity(5)).max_abs(), 1e-10);
 }
 
 TEST(Lu, ScalarReplayIsBitwiseEqual) {

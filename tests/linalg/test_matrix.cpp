@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -159,6 +160,29 @@ TEST(Matrix, OneNormPropagatesNonFiniteEntries) {
     Mat m{{1.0, -2.0}, {3.0, 4.0}};
     m(0, 0) = cplx{0.0, std::numeric_limits<double>::infinity()};
     EXPECT_TRUE(std::isinf(m.norm_1()));
+}
+
+TEST(Matrix, OneNormSurvivesSquareOverflowAndUnderflow) {
+    // |z| is sqrt(re^2 + im^2) only while the square is a normal double:
+    // entries near 1e200 (square overflows) and 1e-200 (square underflows)
+    // take std::abs, so the norm is finite and equals the std::abs sum.
+    auto abs_norm_1 = [](const Mat& m) {
+        double best = 0.0;
+        for (std::size_t j = 0; j < m.cols(); ++j) {
+            double colsum = 0.0;
+            for (std::size_t i = 0; i < m.rows(); ++i) colsum += std::abs(m(i, j));
+            best = std::max(best, colsum);
+        }
+        return best;
+    };
+    const Mat huge{{cplx{6e199, 8e199}, cplx{3.0, 4.0}, 0.0},
+                   {cplx{-1e200, 0.0}, cplx{0.0, 2e-200}, cplx{1e-200, -1e-200}},
+                   {cplx{0.0, 0.0}, cplx{-3e200, 1e200}, cplx{1e200, 1e200}}};
+    EXPECT_TRUE(std::isfinite(huge.norm_1()));
+    EXPECT_EQ(huge.norm_1(), abs_norm_1(huge));
+    const Mat tiny{{cplx{3e-200, 4e-200}, cplx{1e-170, 0.0}}, {cplx{0.0, -1e-250}, 0.0}};
+    EXPECT_GT(tiny.norm_1(), 0.0);
+    EXPECT_EQ(tiny.norm_1(), abs_norm_1(tiny));
 }
 
 TEST(Matrix, HermitianDetection) {

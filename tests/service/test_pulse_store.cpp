@@ -9,8 +9,12 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include "support/temp_path.hpp"
 
 namespace qoc::service {
 namespace {
@@ -204,6 +208,83 @@ TEST(PulseStore, MissingFileLoadsNothing) {
     PulseStore store;
     EXPECT_EQ(store.load_jsonl(testing::TempDir() + "qoc_no_such_store.jsonl"), 0u);
     EXPECT_EQ(store.size(), 0u);
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+}
+
+TEST(PulseStore, SaveOverwritesThroughATempFile) {
+    const std::string path = testing_support::temp_path("overwrite.jsonl");
+    PulseStore first;
+    first.put(sample_pulse(1));
+    first.put(sample_pulse(2));
+    first.save_jsonl(path);
+
+    PulseStore second;
+    second.put(sample_pulse(3));
+    second.save_jsonl(path);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    PulseStore loaded;
+    EXPECT_EQ(loaded.load_jsonl(path), 1u);
+    ASSERT_TRUE(loaded.lookup(3).has_value());
+    EXPECT_FALSE(loaded.lookup(1).has_value());
+    expect_pulse_bitwise_equal(*loaded.lookup(3), sample_pulse(3));
+    std::filesystem::remove(path);
+}
+
+TEST(PulseStore, FailedSaveThrowsAndLeavesTheOldFileByteIdentical) {
+    PulseStore store;
+    store.put(sample_pulse(5));
+
+    // A directory that does not exist cannot take the temp file.
+    const std::string missing_dir = testing_support::temp_path("no_such_dir");
+    EXPECT_THROW(store.save_jsonl(missing_dir + "/store.jsonl"), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(missing_dir));
+
+    // An existing store whose temp-file slot is taken (by a directory):
+    // the save must fail before it touches the live file.
+    const std::string path = testing_support::temp_path("live.jsonl");
+    PulseStore old_store;
+    old_store.put(sample_pulse(9));
+    old_store.save_jsonl(path);
+    const std::string before = read_file(path);
+    ASSERT_FALSE(before.empty());
+    std::filesystem::create_directory(path + ".tmp");
+    EXPECT_THROW(store.save_jsonl(path), std::runtime_error);
+    EXPECT_EQ(read_file(path), before);
+    EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp")) << "only its own temp file goes";
+    std::filesystem::remove(path + ".tmp");
+    std::filesystem::remove(path);
+}
+
+TEST(PulseStore, UnknownChannelTypeIsRejectedByName) {
+    const std::string path = testing_support::temp_path("ch_type.jsonl");
+    PulseStore store;
+    store.put(sample_pulse(21));
+    store.save_jsonl(path);
+
+    // Hand-edit the record: channel type 7 is past kMeasure (3).
+    std::string text = read_file(path);
+    const std::string field = "\"ch_type\":0";
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, field.size(), "\"ch_type\":7");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+    PulseStore loaded;
+    try {
+        loaded.load_jsonl(path);
+        ADD_FAILURE() << "a channel type past kMeasure was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("channel type 7"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(loaded.size(), 0u);
+    std::filesystem::remove(path);
 }
 
 TEST(PulseStore, StoredPulseScheduleRoundTripsSamples) {
