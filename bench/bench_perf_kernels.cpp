@@ -15,6 +15,7 @@
 #include "experiments/gate_designer.hpp"
 #include "experiments/irb_experiment.hpp"
 #include "linalg/expm.hpp"
+#include "linalg/kron.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
 #include "optim/lbfgsb.hpp"
@@ -22,6 +23,7 @@
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
 #include "rb/rb.hpp"
+#include "rb/seed_engine.hpp"
 #include "runtime/task_pool.hpp"
 #include "service/calibration_service.hpp"
 
@@ -369,6 +371,46 @@ void BM_RbSequence1q(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RbSequence1q)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// One mixed 1Q Clifford step at the paper's shape: montreal's 9x9
+/// superops over a 16-seed block whose seeds drew different Cliffords.
+/// Arg 0 is the engine's step (one packed `gemv_gather_block` call);
+/// arg 1 replays it as one strided structured apply per column.  Items are
+/// seed columns.
+void BM_RbMixedBlockStep(benchmark::State& state) {
+    static device::PulseExecutor exec(device::ibmq_montreal());
+    static const auto defaults = device::build_default_gates(exec);
+    static const rb::Clifford1Q group;
+    static const rb::GateSet1Q gates(exec, defaults, 0, group);
+    constexpr std::size_t kSeeds = 16;
+    constexpr std::size_t kSteps = 1024;
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<std::size_t> dist(0, rb::Clifford1Q::kSize - 1);
+    std::vector<std::size_t> seq(kSteps * kSeeds);
+    for (std::size_t& c : seq) c = dist(rng);
+    const linalg::Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
+    linalg::Mat x(vec_rho0.rows(), kSeeds), x_next(vec_rho0.rows(), kSeeds);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t j = 0; j < kSeeds; ++j) x(r, j) = vec_rho0(r, 0);
+    }
+    const bool per_column = state.range(0) != 0;
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const std::size_t* idx = &seq[(k++ % kSteps) * kSeeds];
+        if (per_column) {
+            for (std::size_t j = 0; j < kSeeds; ++j) {
+                gates.clifford_structured(idx[j]).apply_col(x.data().data() + j,
+                                                            x_next.data().data() + j, kSeeds);
+            }
+            std::swap(x, x_next);
+        } else {
+            rb::detail::step_block_1q(gates, idx, kSeeds, x, x_next);
+        }
+        benchmark::DoNotOptimize(x.data().data());
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSeeds));
+}
+BENCHMARK(BM_RbMixedBlockStep)->Arg(0)->Arg(1);
 
 void BM_RbSequence2q(benchmark::State& state) {
     static device::PulseExecutor exec(device::ibmq_montreal());

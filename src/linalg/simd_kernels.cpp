@@ -100,6 +100,29 @@ void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
     }
 }
 
+// Packed-table offsets (in doubles) of entry (p, row pair r): the real lane,
+// then the imaginary lane, 4 doubles each.
+constexpr std::size_t kEntryDoubles = 8;
+constexpr std::size_t kImLane = 4;
+
+void gemv_gather_block_scalar(const PackedOps& ops, const std::size_t* idx, const cplx* x,
+                              cplx* out, std::size_t bw) noexcept {
+    const std::size_t n = ops.dim();
+    const std::size_t p_stride = kEntryDoubles * ops.row_pairs();
+    for (std::size_t j = 0; j < bw; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* e = ops.op(idx[j]) + kEntryDoubles * (i / 2) + 2 * (i % 2);
+            cplx acc{0.0, 0.0};
+            for (std::size_t p = 0; p < n; ++p, e += p_stride) {
+                const cplx aip{e[0], e[kImLane]};
+                if (aip == cplx{0.0, 0.0}) continue;
+                cfma(acc, aip, x[p * bw + j]);
+            }
+            out[i * bw + j] = acc;
+        }
+    }
+}
+
 void lu_substitute_scalar(const cplx* lu, const cplx* rdiag, std::size_t n, cplx* x,
                           std::size_t m) noexcept {
     for (std::size_t i = 1; i < n; ++i) {
@@ -229,6 +252,93 @@ __attribute__((target("avx2,fma"))) void csr_gemv_strided_hw(const cplx* vals, c
             cfma_hw(acc, vals[idx], x[static_cast<std::size_t>(cols[idx]) * stride]);
         }
         out[i * stride] = acc;
+    }
+}
+
+/// Accumulates row pairs [r0, r0 + R) of one column, entries starting at
+/// `e`, against the column `xc` (component p at `xc + 2 * p * bw`), in the
+/// lane arithmetic of `gemv_strided_hw`.  With `kSkipZeros` a zero entry's
+/// product is masked to +0, which commits the bits of skipping it.
+template <int R, bool kSkipZeros>
+__attribute__((target("avx2,fma"))) inline void gather_acc_avx2(
+    const double* e, std::size_t n, std::size_t p_stride, const double* xc, std::size_t bw,
+    __m256d* acc) noexcept {
+    for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+    for (std::size_t p = 0; p < n; ++p, e += p_stride) {
+        const __m256d xv = _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(xc + 2 * p * bw));
+        const __m256d xs = _mm256_permute_pd(xv, 0b0101);
+        for (int r = 0; r < R; ++r) {
+            const double* er = e + kEntryDoubles * static_cast<std::size_t>(r);
+            const __m256d ar = _mm256_load_pd(er);
+            const __m256d ai = _mm256_load_pd(er + kImLane);
+            __m256d prod = _mm256_fmaddsub_pd(xv, ar, _mm256_mul_pd(xs, ai));
+            if constexpr (kSkipZeros) {
+                const __m256d z = _mm256_setzero_pd();
+                const __m256d zero_entry = _mm256_and_pd(_mm256_cmp_pd(ar, z, _CMP_EQ_OQ),
+                                                         _mm256_cmp_pd(ai, z, _CMP_EQ_OQ));
+                prod = _mm256_andnot_pd(zero_entry, prod);
+            }
+            acc[r] = _mm256_add_pd(acc[r], prod);
+        }
+    }
+}
+
+// Row pairs [r0, r0 + R) of every column: R accumulators stay in registers
+// over the whole p loop and each x_p is broadcast once for all of them.
+// The first pass multiplies exact zero entries instead of skipping them.
+// While every product is finite that changes no bit: a zero entry times a
+// finite x_p is +-0, and an accumulator that starts at +0 never becomes -0,
+// so adding +-0 leaves it as it is.  A non-finite term leaves its
+// accumulator non-finite for good, so a column whose rows all come out
+// finite had only finite products; any other column is recomputed with the
+// zero entries masked out.
+template <int R>
+__attribute__((target("avx2,fma"))) void gather_rows_avx2(const PackedOps& ops,
+                                                          const std::size_t* idx,
+                                                          const cplx* x, cplx* out,
+                                                          std::size_t bw,
+                                                          std::size_t r0) noexcept {
+    const std::size_t n = ops.dim();
+    const std::size_t p_stride = kEntryDoubles * ops.row_pairs();
+    auto* od = reinterpret_cast<double*>(out);
+    for (std::size_t j = 0; j < bw; ++j) {
+        const double* e = ops.op(idx[j]) + kEntryDoubles * r0;
+        const auto* xc = reinterpret_cast<const double*>(x + j);
+        __m256d acc[R];
+        gather_acc_avx2<R, false>(e, n, p_stride, xc, bw, acc);
+        __m256d non_finite = _mm256_setzero_pd();  // acc - acc: +0 if finite, NaN if not
+        for (int r = 0; r < R; ++r) {
+            non_finite = _mm256_or_pd(non_finite, _mm256_sub_pd(acc[r], acc[r]));
+        }
+        if (_mm256_movemask_pd(_mm256_cmp_pd(non_finite, non_finite, _CMP_UNORD_Q)) != 0) {
+            gather_acc_avx2<R, true>(e, n, p_stride, xc, bw, acc);
+        }
+        for (int r = 0; r < R; ++r) {
+            const std::size_t i = 2 * (r0 + static_cast<std::size_t>(r));
+            _mm_storeu_pd(od + 2 * (i * bw + j), _mm256_castpd256_pd128(acc[r]));
+            if (i + 1 < n) {
+                _mm_storeu_pd(od + 2 * ((i + 1) * bw + j), _mm256_extractf128_pd(acc[r], 1));
+            }
+        }
+    }
+}
+
+__attribute__((target("avx2,fma"))) void gemv_gather_block_avx2(const PackedOps& ops,
+                                                                const std::size_t* idx,
+                                                                const cplx* x, cplx* out,
+                                                                std::size_t bw) noexcept {
+    const std::size_t pairs = ops.row_pairs();
+    for (std::size_t r0 = 0; r0 < pairs; r0 += 8) {
+        switch (std::min<std::size_t>(8, pairs - r0)) {
+            case 1: gather_rows_avx2<1>(ops, idx, x, out, bw, r0); break;
+            case 2: gather_rows_avx2<2>(ops, idx, x, out, bw, r0); break;
+            case 3: gather_rows_avx2<3>(ops, idx, x, out, bw, r0); break;
+            case 4: gather_rows_avx2<4>(ops, idx, x, out, bw, r0); break;
+            case 5: gather_rows_avx2<5>(ops, idx, x, out, bw, r0); break;
+            case 6: gather_rows_avx2<6>(ops, idx, x, out, bw, r0); break;
+            case 7: gather_rows_avx2<7>(ops, idx, x, out, bw, r0); break;
+            default: gather_rows_avx2<8>(ops, idx, x, out, bw, r0); break;
+        }
     }
 }
 
@@ -544,6 +654,35 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
     }
 #endif
     csr_gemm_raw_scalar(vals, cols, rowptr, m, b, c, n, accumulate);
+}
+
+PackedOps::PackedOps(const cplx* const* ops, std::size_t count, std::size_t n)
+    : n_(n), count_(count), per_op_(2 * n * ((n + 1) / 2)) {
+    lanes_.assign(count * per_op_, Lane{});
+    const std::size_t pairs = row_pairs();
+    for (std::size_t o = 0; o < count; ++o) {
+        for (std::size_t p = 0; p < n; ++p) {
+            for (std::size_t r = 0; r < pairs; ++r) {
+                Lane* e = &lanes_[o * per_op_ + 2 * (p * pairs + r)];
+                for (std::size_t h = 0; h < 2 && 2 * r + h < n; ++h) {
+                    const cplx a = ops[o][(2 * r + h) * n + p];
+                    e[0].v[2 * h] = e[0].v[2 * h + 1] = a.real();
+                    e[1].v[2 * h] = e[1].v[2 * h + 1] = a.imag();
+                }
+            }
+        }
+    }
+}
+
+void gemv_gather_block(const PackedOps& ops, const std::size_t* idx, const cplx* x, cplx* out,
+                       std::size_t bw) noexcept {
+#if defined(QOC_HAVE_AVX2_PATH)
+    if (use_avx2()) {
+        gemv_gather_block_avx2(ops, idx, x, out, bw);
+        return;
+    }
+#endif
+    gemv_gather_block_scalar(ops, idx, x, out, bw);
 }
 
 void lu_substitute(const cplx* lu, const cplx* rdiag, std::size_t n, cplx* x,

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -58,7 +59,8 @@ void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t 
 /// Column-strided matvec: `out[i*stride] (+)= sum_p a(i,p) x[p*stride]` for a
 /// row-major `n x n` matrix applied to one column of a row-major batch whose
 /// consecutive components are `stride` elements apart.  Used for the
-/// mixed-operator RB batch step (each seed applies a different superop).
+/// mixed-operator 2Q RB batch step (each seed applies a different superop)
+/// and the per-column products of `expm_action_into`.
 void gemv_strided(const cplx* a, std::size_t n, const cplx* x, cplx* out,
                   std::size_t stride, bool accumulate) noexcept;
 
@@ -74,6 +76,46 @@ void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
 /// the contiguous batch dimension with one broadcast per stored nonzero.
 void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,
                   const cplx* b, cplx* c, std::size_t n, bool accumulate) noexcept;
+
+/// A table of row-major `n x n` complex operators packed for
+/// `gemv_gather_block`.  Per operator, per inner index `p` and per output
+/// row pair (i, i + 1) it stores two 4-double lanes: the real parts
+/// [re_i re_i re_i+1 re_i+1] and the imaginary parts in the same layout.  An
+/// odd last row pairs with an all-zero padding row.  The kernel loads the
+/// lanes as they stand instead of shuffling each entry.
+class PackedOps {
+public:
+    PackedOps() = default;
+
+    /// Packs `ops[0..count)`, each a row-major `n x n` operator.
+    PackedOps(const cplx* const* ops, std::size_t count, std::size_t n);
+
+    std::size_t dim() const noexcept { return n_; }
+    std::size_t size() const noexcept { return count_; }
+    std::size_t row_pairs() const noexcept { return (n_ + 1) / 2; }
+
+    /// Operator `i`'s lanes: entry (p, row pair r) starts at lane
+    /// `2 * (p * row_pairs() + r)`, four doubles per lane.
+    const double* op(std::size_t i) const noexcept { return lanes_[i * per_op_].v; }
+
+private:
+    struct alignas(32) Lane {
+        double v[4];
+    };
+    std::vector<Lane> lanes_;
+    std::size_t n_ = 0;
+    std::size_t count_ = 0;
+    std::size_t per_op_ = 0;  ///< lanes per operator
+};
+
+/// Mixed-operator block step: `out(:, j) = ops[idx[j]] * x(:, j)` for every
+/// column j of the row-major `n x bw` block `x` (n = `ops.dim()`), one
+/// operator per column.  Each element is committed exactly as
+/// `gemv_strided` (non-accumulating) commits it -- ascending p, exact zero
+/// entries skipped even where x is not finite -- so the result is bitwise
+/// that of one strided matvec per column.  `out` must not alias `x`.
+void gemv_gather_block(const PackedOps& ops, const std::size_t* idx, const cplx* x, cplx* out,
+                       std::size_t bw) noexcept;
 
 /// Both substitutions of an LU solve, in place: `lu` holds the packed
 /// `n x n` factors (unit-diagonal L below the diagonal, U on and above),

@@ -1,110 +1,37 @@
 #include "rb/leakage_rb.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <random>
 
-#include "linalg/kron.hpp"
 #include "obs/obs.hpp"
 #include "optim/levmar.hpp"
-#include "quantum/states.hpp"
+#include "rb/seed_engine.hpp"
 #include "runtime/ordered.hpp"
-#include "runtime/task_pool.hpp"
-#include "runtime/workspace_pool.hpp"
 
 namespace qoc::rb {
 
 namespace {
 
-/// Batched SoA seed engine; mirrors rb.cpp's rb_curve_1q block loop, with
-/// seed streams `mt19937_64(rng_seed + 104729 * (li * 1000 + s))` and the
-/// leakage population read from the diagonal of vec(rho).
+/// The 1Q seed engine with seed streams `mt19937_64(rng_seed + 104729 *
+/// (li * 1000 + s))` and the leakage population read from the diagonal of
+/// vec(rho).
 LeakageRbResult leakage_curve(const PulseExecutor& exec, const GateSet1Q& gates,
-                                      const RbOptions& opts) {
-    const Clifford1Q& group = gates.group();
+                              const RbOptions& opts) {
     const std::size_t d = gates.dim();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-
-    struct Workspace {
-        Mat x, x_next;
-        std::vector<std::size_t> seq, rec;
-    };
-    runtime::WorkspacePool<Workspace> workspaces;
-    const std::size_t bw_max = [&] {
-        if (opts.seed_block > 0)
-            return std::min(opts.seed_block, std::max<std::size_t>(opts.seeds_per_length, 1));
-        const std::size_t threads = runtime::TaskPool::global().size();
-        const std::size_t even =
-            (opts.seeds_per_length + threads - 1) / std::max<std::size_t>(threads, 1);
-        return std::min<std::size_t>(std::max<std::size_t>(even, 1), 32);
-    }();
-    const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
-
+    const auto leaks = detail::run_seed_blocks_1q(
+        exec, gates, opts, {"rb.leakage_block", 104729}, [d](const detail::FinishedSeed& f) {
+            double leak = 0.0;
+            for (std::size_t lvl = 2; lvl < d; ++lvl) {
+                leak += f.block(lvl * (d + 1), f.col).real();
+            }
+            obs::emit_rb_seed("leakage_rb", f.length, static_cast<std::int64_t>(f.seed),
+                              1.0 - leak);
+            return leak;
+        });
     LeakageRbResult res;
     for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        std::vector<double> leaks(opts.seeds_per_length);
-        runtime::TaskPool::global().parallel_for(0, n_blocks, [&](std::size_t blk) {
-            obs::Span span("rb.leakage_block");
-            const std::size_t s0 = blk * bw_max;
-            const std::size_t bw = std::min(bw_max, opts.seeds_per_length - s0);
-            auto lease = workspaces.acquire();
-            Workspace& w = *lease;
-
-            w.seq.resize(m * bw);
-            w.rec.resize(bw);
-            std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
-            for (std::size_t j = 0; j < bw; ++j) {
-                std::mt19937_64 rng(opts.rng_seed + 104729 * (li * 1000 + (s0 + j)));
-                std::size_t net = group.identity_index();
-                for (std::size_t k = 0; k < m; ++k) {
-                    const std::size_t c = dist(rng);
-                    w.seq[k * bw + j] = c;
-                    net = group.multiply(c, net);
-                }
-                w.rec[j] = group.inverse(net);
-            }
-
-            const std::size_t d2 = vec_rho0.rows();
-            w.x.resize(d2, bw);
-            for (std::size_t r = 0; r < d2; ++r) {
-                for (std::size_t j = 0; j < bw; ++j) w.x(r, j) = vec_rho0(r, 0);
-            }
-            const auto step = [&](const std::size_t* idx) {
-                bool same = true;
-                for (std::size_t j = 1; j < bw; ++j) {
-                    if (idx[j] != idx[0]) {
-                        same = false;
-                        break;
-                    }
-                }
-                if (same) {
-                    gates.clifford_structured(idx[0]).apply_batch_into(w.x, w.x_next);
-                } else {
-                    w.x_next.resize(d2, bw);
-                    for (std::size_t j = 0; j < bw; ++j) {
-                        gates.clifford_structured(idx[j]).apply_col(
-                            w.x.data().data() + j, w.x_next.data().data() + j, bw);
-                    }
-                }
-                std::swap(w.x, w.x_next);
-            };
-            for (std::size_t k = 0; k < m; ++k) step(&w.seq[k * bw]);
-            step(w.rec.data());
-
-            for (std::size_t j = 0; j < bw; ++j) {
-                double leak = 0.0;
-                for (std::size_t lvl = 2; lvl < d; ++lvl) {
-                    leak += w.x(lvl * (d + 1), j).real();
-                }
-                leaks[s0 + j] = leak;
-                obs::emit_rb_seed("leakage_rb", m, static_cast<std::int64_t>(s0 + j),
-                                  1.0 - leak);
-            }
-        });
-        res.lengths.push_back(m);
-        res.leakage_population.push_back(runtime::ordered_mean(leaks));
+        res.lengths.push_back(opts.lengths[li]);
+        res.leakage_population.push_back(runtime::ordered_mean(leaks[li]));
     }
     return res;
 }
@@ -113,6 +40,7 @@ LeakageRbResult leakage_curve(const PulseExecutor& exec, const GateSet1Q& gates,
 
 LeakageRbResult run_leakage_rb_1q(const PulseExecutor& exec, const GateSet1Q& gates,
                                   const RbOptions& opts) {
+    detail::validate_options(opts, "run_leakage_rb_1q");
     LeakageRbResult res = leakage_curve(exec, gates, opts);
 
     // Fit p_comp(m) = A lambda^m + (1 - p_inf) where p_comp = 1 - leakage.

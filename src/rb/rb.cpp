@@ -7,11 +7,13 @@
 #include <map>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/kron.hpp"
 #include "obs/obs.hpp"
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
+#include "rb/seed_engine.hpp"
 #include "runtime/ordered.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/workspace_pool.hpp"
@@ -89,6 +91,11 @@ GateSet1Q::GateSet1Q(const PulseExecutor& exec, const pulse::InstructionSchedule
         contracts::check_trace_preserving(total, "GateSet1Q: Clifford superop", 1e-7);
         cliff_super_.push_back(quantum::StructuredSuperOp::from_dense(total));
     }
+    std::vector<const linalg::cplx*> dense(Clifford1Q::kSize);
+    for (std::size_t i = 0; i < Clifford1Q::kSize; ++i) {
+        dense[i] = cliff_super_[i].dense().data().data();
+    }
+    cliff_packed_ = linalg::simd::PackedOps(dense.data(), dense.size(), d * d);
 }
 
 namespace {
@@ -114,34 +121,29 @@ struct BatchWorkspace {
 /// evenly over the task pool without breaking 1-vs-N-thread bitwise
 /// reproducibility.
 std::size_t seed_block_width(std::size_t seeds, std::size_t requested) {
-    if (seeds == 0) return 1;
     if (requested > 0) return std::min(requested, seeds);
     const std::size_t threads = runtime::TaskPool::global().size();
     const std::size_t even = (seeds + threads - 1) / threads;
     return std::min<std::size_t>(std::max<std::size_t>(even, 1), 32);
 }
 
-/// One Clifford step over a whole seed block.  When every seed drew the
-/// same element (always true for IRB interleave steps, often for short
-/// blocks) this is ONE batched d^2 x B apply; otherwise each column gets a
-/// strided single-column apply.  Both paths produce bitwise-identical
-/// columns, so the branch is purely a throughput decision.
-template <typename StructuredOf>
-void apply_block_step(const StructuredOf& structured_of, const std::size_t* idx,
-                      std::size_t bw, Mat& x, Mat& x_next) {
-    bool same = true;
-    for (std::size_t j = 1; j < bw; ++j) {
-        if (idx[j] != idx[0]) {
-            same = false;
-            break;
-        }
-    }
-    if (same) {
-        structured_of(idx[0]).apply_batch_into(x, x_next);
+bool same_index(const std::size_t* idx, std::size_t bw) {
+    return std::all_of(idx + 1, idx + bw, [idx](std::size_t i) { return i == idx[0]; });
+}
+
+/// One 2Q Clifford step over a whole seed block: ONE batched d^2 x B apply
+/// when every seed drew the same element (always true for IRB interleave
+/// steps), otherwise a strided single-column apply per seed.  Both paths
+/// produce bitwise-identical columns.
+void step_block_2q(const GateSet2Q& gates, const std::size_t* idx, std::size_t bw, Mat& x,
+                   Mat& x_next) {
+    if (same_index(idx, bw)) {
+        gates.clifford_structured(idx[0]).apply_batch_into(x, x_next);
     } else {
         x_next.resize(x.rows(), x.cols());
         for (std::size_t j = 0; j < bw; ++j) {
-            structured_of(idx[j]).apply_col(x.data().data() + j, x_next.data().data() + j, bw);
+            gates.clifford_structured(idx[j]).apply_col(x.data().data() + j,
+                                                        x_next.data().data() + j, bw);
         }
     }
     std::swap(x, x_next);
@@ -162,58 +164,96 @@ void extract_column(const Mat& x, std::size_t j, Mat& v) {
     for (std::size_t r = 0; r < x.rows(); ++r) v(r, 0) = x(r, j);
 }
 
-/// Batched 1Q RB: sequences are pre-sampled per seed (seed s of length
-/// index li draws from `mt19937_64(rng_seed + 7919 * (li * 1000 + s))`),
-/// then the whole seed block advances with one structured apply per
-/// Clifford step through `apply_block_step`.  The interleaved experiment
-/// reuses the same random Clifford sequences as the reference (standard IRB
-/// practice): paired sequences cancel most sampling noise in the alpha
-/// ratio.
-RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
-                    const RbOptions& opts, const Mat* interleave_super,
-                    std::size_t interleave_index) {
+RbPoint summarize(std::size_t length, const std::vector<double>& survivals) {
+    RbPoint pt;
+    pt.length = length;
+    pt.mean_survival = runtime::ordered_mean(survivals);
+    pt.sem = survival_sem(survivals, pt.mean_survival);
+    return pt;
+}
+
+}  // namespace
+
+namespace detail {
+
+void validate_options(const RbOptions& options, const char* caller) {
+    const std::string where = std::string(caller) + ": RbOptions::";
+    if (options.lengths.size() < 3) {
+        throw std::invalid_argument(where + "lengths needs at least 3 entries (got " +
+                                    std::to_string(options.lengths.size()) + ")");
+    }
+    if (options.seeds_per_length == 0) {
+        throw std::invalid_argument(where + "seeds_per_length must be at least 1 (got 0)");
+    }
+    if (options.shots < 1) {
+        throw std::invalid_argument(where + "shots must be at least 1 (got " +
+                                    std::to_string(options.shots) + ")");
+    }
+}
+
+void step_block_1q(const GateSet1Q& gates, const std::size_t* idx, std::size_t bw, Mat& x,
+                   Mat& x_next) {
+    if (same_index(idx, bw)) {
+        gates.clifford_structured(idx[0]).apply_batch_into(x, x_next);
+    } else {
+        std::uint64_t csr = 0;
+        for (std::size_t j = 0; j < bw; ++j) {
+            csr += gates.clifford_structured(idx[j]).kind() ==
+                   quantum::StructuredSuperOp::Kind::kCsr;
+        }
+        obs::count(obs::Cnt::kSuperopCsrApplies, csr);
+        obs::count(obs::Cnt::kSuperopApplies, bw - csr);
+        x_next.resize(x.rows(), x.cols());
+        linalg::simd::gemv_gather_block(gates.clifford_packed(), idx, x.data().data(),
+                                        x_next.data().data(), bw);
+    }
+    std::swap(x, x_next);
+}
+
+std::vector<std::vector<double>> run_seed_blocks_1q(
+    const PulseExecutor& exec, const GateSet1Q& gates, const RbOptions& opts,
+    const SeedBlocks1Q& blocks, const std::function<double(const FinishedSeed&)>& readout) {
     const Clifford1Q& group = gates.group();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
     quantum::StructuredSuperOp inter_struct;
-    if (interleave_super != nullptr) {
-        inter_struct = quantum::StructuredSuperOp::from_dense(*interleave_super);
+    if (blocks.interleave != nullptr) {
+        inter_struct = quantum::StructuredSuperOp::from_dense(*blocks.interleave);
     }
-    const auto structured_of = [&gates](std::size_t i) -> const quantum::StructuredSuperOp& {
-        return gates.clifford_structured(i);
-    };
 
     runtime::WorkspacePool<BatchWorkspace> workspaces;
     const std::size_t bw_max = seed_block_width(opts.seeds_per_length, opts.seed_block);
     const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
 
-    RbCurve curve;
+    std::vector<std::vector<double>> values(opts.lengths.size());
     for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
         const std::size_t m = opts.lengths[li];
-        std::vector<double> survivals(opts.seeds_per_length);
+        values[li].resize(opts.seeds_per_length);
 
         runtime::TaskPool::global().parallel_for(0, n_blocks, [&](std::size_t blk) {
-            obs::Span span("rb.seq_block_1q");
+            obs::Span span(blocks.span);
             const std::size_t s0 = blk * bw_max;
             const std::size_t bw = std::min(bw_max, opts.seeds_per_length - s0);
             auto lease = workspaces.acquire();
             BatchWorkspace& w = *lease;
 
             // Pre-sample the block's sequences.  Per seed the draws happen
-            // in one fixed order (sequence indices first, shot sampling
-            // afterwards from the same engine), so sequences and shot noise
-            // pair up between the reference and the interleaved run.
+            // in one fixed order (sequence indices first, the readout's
+            // draws afterwards from the same engine), so sequences and shot
+            // noise pair up between the reference and the interleaved run.
             w.seq.resize(m * bw);
             w.rec.resize(bw);
             w.rngs.clear();
             std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
             for (std::size_t j = 0; j < bw; ++j) {
-                std::mt19937_64 rng(opts.rng_seed + 7919 * (li * 1000 + (s0 + j)));
+                std::mt19937_64 rng(opts.rng_seed + blocks.stream * (li * 1000 + (s0 + j)));
                 std::size_t net = group.identity_index();
                 for (std::size_t k = 0; k < m; ++k) {
                     const std::size_t c = dist(rng);
                     w.seq[k * bw + j] = c;
                     net = group.multiply(c, net);
-                    if (interleave_super != nullptr) net = group.multiply(interleave_index, net);
+                    if (blocks.interleave != nullptr) {
+                        net = group.multiply(blocks.interleave_index, net);
+                    }
                 }
                 w.rec[j] = group.inverse(net);
                 w.rngs.push_back(rng);
@@ -221,31 +261,50 @@ RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size
 
             fill_block(vec_rho0, bw, w.x);
             for (std::size_t k = 0; k < m; ++k) {
-                apply_block_step(structured_of, &w.seq[k * bw], bw, w.x, w.x_next);
-                if (interleave_super != nullptr) {
+                step_block_1q(gates, &w.seq[k * bw], bw, w.x, w.x_next);
+                if (blocks.interleave != nullptr) {
                     inter_struct.apply_batch_into(w.x, w.x_next);
                     std::swap(w.x, w.x_next);
                 }
             }
-            apply_block_step(structured_of, w.rec.data(), bw, w.x, w.x_next);
+            step_block_1q(gates, w.rec.data(), bw, w.x, w.x_next);
 
             for (std::size_t j = 0; j < bw; ++j) {
-                extract_column(w.x, j, w.v);
-                contracts::check_density_vec(w.v, "RB 1Q: state after recovery", 1e-6);
-                const double p0 = 1.0 - exec.p1_after_readout_vec(w.v, qubit);
-                contracts::check_probability(p0, "RB 1Q: survival probability", 1e-6);
-                std::binomial_distribution<int> shots_dist(opts.shots, std::clamp(p0, 0.0, 1.0));
-                survivals[s0 + j] = static_cast<double>(shots_dist(w.rngs[j])) /
-                                    static_cast<double>(opts.shots);
-                obs::emit_rb_seed(interleave_super ? "irb1q" : "rb1q", m,
-                                  static_cast<std::int64_t>(s0 + j), survivals[s0 + j]);
+                values[li][s0 + j] = readout({w.x, j, m, s0 + j, w.rngs[j], w.v});
             }
         });
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = runtime::ordered_mean(survivals);
-        pt.sem = survival_sem(survivals, pt.mean_survival);
-        curve.points.push_back(pt);
+    }
+    return values;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Batched 1Q RB (seed streams `mt19937_64(rng_seed + 7919 * (li * 1000 +
+/// s))`).  The interleaved experiment reuses the same random Clifford
+/// sequences as the reference (standard IRB practice): paired sequences
+/// cancel most sampling noise in the alpha ratio.
+RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
+                    const RbOptions& opts, const Mat* interleave_super,
+                    std::size_t interleave_index) {
+    const char* tag = interleave_super != nullptr ? "irb1q" : "rb1q";
+    const auto survivals = detail::run_seed_blocks_1q(
+        exec, gates, opts, {"rb.seq_block_1q", 7919, interleave_super, interleave_index},
+        [&](const detail::FinishedSeed& f) {
+            extract_column(f.block, f.col, f.scratch);
+            contracts::check_density_vec(f.scratch, "RB 1Q: state after recovery", 1e-6);
+            const double p0 = 1.0 - exec.p1_after_readout_vec(f.scratch, qubit);
+            contracts::check_probability(p0, "RB 1Q: survival probability", 1e-6);
+            std::binomial_distribution<int> shots_dist(opts.shots, std::clamp(p0, 0.0, 1.0));
+            const double survival =
+                static_cast<double>(shots_dist(f.rng)) / static_cast<double>(opts.shots);
+            obs::emit_rb_seed(tag, f.length, static_cast<std::int64_t>(f.seed), survival);
+            return survival;
+        });
+    RbCurve curve;
+    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
+        curve.points.push_back(summarize(opts.lengths[li], survivals[li]));
     }
     fit_rb_curve(curve, 2.0);
     return curve;
@@ -255,6 +314,7 @@ RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size
 
 RbCurve run_rb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                   const RbOptions& options) {
+    detail::validate_options(options, "run_rb_1q");
     return rb_curve_1q(exec, gates, qubit, options, nullptr, 0);
 }
 
@@ -263,6 +323,7 @@ IrbResult run_irb_1q_with_reference(const PulseExecutor& exec, const GateSet1Q& 
                                     const Mat& interleaved_superop,
                                     std::size_t interleaved_clifford,
                                     const RbOptions& options) {
+    detail::validate_options(options, "run_irb_1q_with_reference");
     IrbResult res;
     res.reference = reference;
     res.interleaved =
@@ -279,6 +340,7 @@ IrbResult run_irb_1q_with_reference(const PulseExecutor& exec, const GateSet1Q& 
 IrbResult run_irb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                      const Mat& interleaved_superop, std::size_t interleaved_clifford,
                      const RbOptions& options) {
+    detail::validate_options(options, "run_irb_1q");
     return run_irb_1q_with_reference(exec, gates, qubit,
                                      rb_curve_1q(exec, gates, qubit, options, nullptr, 0),
                                      interleaved_superop, interleaved_clifford, options);
@@ -369,9 +431,6 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
     if (interleave_super != nullptr) {
         inter_struct = quantum::StructuredSuperOp::from_dense(*interleave_super);
     }
-    const auto structured_of = [&gates](std::size_t i) -> const quantum::StructuredSuperOp& {
-        return gates.clifford_structured(i);
-    };
 
     // Long runs revisit most of the 11520-element group; filling the superop
     // cache eagerly (in parallel) beats lazy misses inside the sequence loop.
@@ -419,13 +478,13 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
 
             fill_block(vec_rho0, bw, w.x);
             for (std::size_t k = 0; k < m; ++k) {
-                apply_block_step(structured_of, &w.seq[k * bw], bw, w.x, w.x_next);
+                step_block_2q(gates, &w.seq[k * bw], bw, w.x, w.x_next);
                 if (interleave_super != nullptr) {
                     inter_struct.apply_batch_into(w.x, w.x_next);
                     std::swap(w.x, w.x_next);
                 }
             }
-            apply_block_step(structured_of, w.rec.data(), bw, w.x, w.x_next);
+            step_block_2q(gates, w.rec.data(), bw, w.x, w.x_next);
 
             for (std::size_t j = 0; j < bw; ++j) {
                 extract_column(w.x, j, w.v);
@@ -436,11 +495,7 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
                                   static_cast<std::int64_t>(s0 + j), survivals[s0 + j]);
             }
         });
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = runtime::ordered_mean(survivals);
-        pt.sem = survival_sem(survivals, pt.mean_survival);
-        curve.points.push_back(pt);
+        curve.points.push_back(summarize(m, survivals));
     }
     fit_rb_curve(curve, 4.0);
     return curve;
@@ -449,6 +504,7 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
 }  // namespace
 
 RbCurve run_rb_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbOptions& options) {
+    detail::validate_options(options, "run_rb_2q");
     return rb_curve_2q(exec, gates, options, nullptr, 0);
 }
 
@@ -456,6 +512,7 @@ IrbResult run_irb_2q_with_reference(const PulseExecutor& exec, const GateSet2Q& 
                                     const RbCurve& reference, const Mat& interleaved_superop,
                                     std::size_t interleaved_clifford,
                                     const RbOptions& options) {
+    detail::validate_options(options, "run_irb_2q_with_reference");
     IrbResult res;
     res.reference = reference;
     res.interleaved =
@@ -471,6 +528,7 @@ IrbResult run_irb_2q_with_reference(const PulseExecutor& exec, const GateSet2Q& 
 IrbResult run_irb_2q(const PulseExecutor& exec, const GateSet2Q& gates,
                      const Mat& interleaved_superop, std::size_t interleaved_clifford,
                      const RbOptions& options) {
+    detail::validate_options(options, "run_irb_2q");
     return run_irb_2q_with_reference(exec, gates, rb_curve_2q(exec, gates, options, nullptr, 0),
                                      interleaved_superop, interleaved_clifford, options);
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "device/executor.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "quantum/superop_structured.hpp"
 #include "rb/clifford1q.hpp"
 #include "rb/clifford2q.hpp"
@@ -32,9 +33,10 @@ struct RbOptions {
     /// Sequence lengths.  1Q gate errors on these devices are ~1e-4, so the
     /// decay only becomes well-conditioned for m into the thousands (the
     /// paper's IRB plots likewise extend to thousands of Cliffords).
+    /// At least 3 (the fit has three parameters).
     std::vector<std::size_t> lengths{1, 100, 300, 600, 1000, 1500, 2000, 3000};
-    std::size_t seeds_per_length = 8;   ///< independent random sequences
-    int shots = 1024;
+    std::size_t seeds_per_length = 8;   ///< independent random sequences; at least 1
+    int shots = 1024;                   ///< at least 1
     std::uint64_t rng_seed = 2022;
     /// Width of the structure-of-arrays seed blocks the batched engine
     /// propagates with one d^2 x B apply per Clifford step.  0 = auto
@@ -81,11 +83,17 @@ public:
     const Mat& clifford_superop(std::size_t i) const { return cliff_super_.at(i).dense(); }
 
     /// Structured (CSR-or-dense SIMD) form of the same superoperator -- the
-    /// batched seed engine's apply path.  rz-only Cliffords compress to
-    /// exactly diagonal CSR; dispatch happened at construction.
+    /// batched seed engine's apply path when a whole block draws Clifford
+    /// `i`.  rz-only Cliffords compress to exactly diagonal CSR; dispatch
+    /// happened at construction.
     const quantum::StructuredSuperOp& clifford_structured(std::size_t i) const {
         return cliff_super_.at(i);
     }
+
+    /// All Clifford superoperators packed for `linalg::simd::gemv_gather_block`
+    /// (operator `i` is Clifford `i`): the seed engine's step when the seeds
+    /// of a block drew different Cliffords.
+    const linalg::simd::PackedOps& clifford_packed() const { return cliff_packed_; }
 
     const Clifford1Q& group() const { return group_; }
     std::size_t dim() const { return dim_; }
@@ -93,10 +101,14 @@ public:
 private:
     const Clifford1Q& group_;
     std::vector<quantum::StructuredSuperOp> cliff_super_;
+    linalg::simd::PackedOps cliff_packed_;
     std::size_t dim_ = 0;
 };
 
-/// Runs standard 1-qubit RB.
+/// Runs standard 1-qubit RB.  Every `run_*` entry point validates `options`
+/// first and throws `std::invalid_argument` naming the offending field when
+/// `lengths` has fewer than 3 entries or `seeds_per_length` or `shots` is
+/// below 1.
 RbCurve run_rb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                   const RbOptions& options);
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "device/calibration.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/superop.hpp"
+#include "rb/leakage_rb.hpp"
 
 namespace qoc::rb {
 namespace {
@@ -164,6 +167,78 @@ TEST_F(RbPipeline, TwoQubitRbRuns) {
     // 2Q EPC at the paper's 1e-3..1e-2 scale.
     EXPECT_GT(curve.epc, 5e-4);
     EXPECT_LT(curve.epc, 6e-2);
+}
+
+/// Every RB entry point must reject `opts` before simulating anything, with
+/// an `std::invalid_argument` that names the entry point and `field`.
+class RbOptionsValidation : public RbPipeline {
+protected:
+    static void expect_rejected(const RbOptions& opts, const std::string& field) {
+        static const GateSet1Q gates1(exec(), defaults(), 0, c1());
+        static const Clifford2Q c2(c1());
+        static const GateSet2Q gates2(exec(), defaults(), c2);
+        const Mat x1 = gates1.clifford_superop(0);
+        const Mat x2 = Mat::identity(16);
+        const RbCurve reference;
+        const auto expect_throw = [&](const char* entry, const auto& call) {
+            try {
+                call();
+                ADD_FAILURE() << entry << " accepted a bad " << field;
+            } catch (const std::invalid_argument& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(entry), std::string::npos) << what;
+                EXPECT_NE(what.find("RbOptions::" + field), std::string::npos) << what;
+            }
+        };
+        expect_throw("run_rb_1q", [&] { run_rb_1q(exec(), gates1, 0, opts); });
+        expect_throw("run_irb_1q", [&] { run_irb_1q(exec(), gates1, 0, x1, 0, opts); });
+        expect_throw("run_irb_1q_with_reference", [&] {
+            run_irb_1q_with_reference(exec(), gates1, 0, reference, x1, 0, opts);
+        });
+        expect_throw("run_rb_2q", [&] { run_rb_2q(exec(), gates2, opts); });
+        expect_throw("run_irb_2q", [&] { run_irb_2q(exec(), gates2, x2, 0, opts); });
+        expect_throw("run_irb_2q_with_reference", [&] {
+            run_irb_2q_with_reference(exec(), gates2, reference, x2, 0, opts);
+        });
+        expect_throw("run_leakage_rb_1q", [&] { run_leakage_rb_1q(exec(), gates1, opts); });
+    }
+
+    static RbOptions valid() {
+        RbOptions opts;
+        opts.lengths = {1, 10, 20};
+        opts.seeds_per_length = 2;
+        opts.shots = 64;
+        return opts;
+    }
+};
+
+TEST_F(RbOptionsValidation, RejectsZeroShots) {
+    // Used to give 0/0 = NaN survivals and still fit alpha ~0.999.
+    RbOptions opts = valid();
+    opts.shots = 0;
+    expect_rejected(opts, "shots");
+}
+
+TEST_F(RbOptionsValidation, RejectsNegativeShots) {
+    // std::binomial_distribution requires t >= 0.
+    RbOptions opts = valid();
+    opts.shots = -5;
+    expect_rejected(opts, "shots");
+}
+
+TEST_F(RbOptionsValidation, RejectsZeroSeeds) {
+    // Used to report alpha 1 and EPC 0: a perfect gate.
+    RbOptions opts = valid();
+    opts.seeds_per_length = 0;
+    expect_rejected(opts, "seeds_per_length");
+}
+
+TEST_F(RbOptionsValidation, RejectsFewerThanThreeLengths) {
+    RbOptions opts = valid();
+    opts.lengths = {1, 10};
+    expect_rejected(opts, "lengths");
+    opts.lengths.clear();
+    expect_rejected(opts, "lengths");
 }
 
 }  // namespace

@@ -17,12 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "device/calibration.hpp"
+#include "linalg/kron.hpp"
 #include "quantum/gates.hpp"
 #include "rb/leakage_rb.hpp"
 #include "rb/rb_reference.hpp"
+#include "rb/seed_engine.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc::rb {
@@ -164,6 +169,58 @@ TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithPerSeedReference1Q) {
             << "i=" << i;
     }
     EXPECT_NEAR(batched.gate_error, dense.gate_error, 1e-9);
+}
+
+/// The per-column form of a 1Q block step: one structured apply per seed
+/// column (a strided dense or CSR matvec), or one batched apply when the
+/// block drew one Clifford.
+void per_column_step(const GateSet1Q& gates, const std::size_t* idx, std::size_t bw, Mat& x,
+                     Mat& x_next) {
+    bool same = true;
+    for (std::size_t j = 1; j < bw; ++j) same = same && idx[j] == idx[0];
+    if (same) {
+        gates.clifford_structured(idx[0]).apply_batch_into(x, x_next);
+    } else {
+        x_next.resize(x.rows(), x.cols());
+        for (std::size_t j = 0; j < bw; ++j) {
+            gates.clifford_structured(idx[j]).apply_col(x.data().data() + j,
+                                                        x_next.data().data() + j, bw);
+        }
+    }
+    std::swap(x, x_next);
+}
+
+TEST(RbBatchedDeterminism, MixedStepKeepsPerColumnStatesBitwiseOver4000Steps) {
+    // RB survivals are quantized to 1/shots, so they cannot see a last-bit
+    // change in a state; compare the final block states themselves.  Every
+    // 50th step the whole block draws one Clifford (the batched branch).
+    const Mat vec_rho0 = linalg::vec(exec().ground_state_1q());
+    for (std::size_t bw : {3ul, 16ul}) {
+        Mat a(vec_rho0.rows(), bw), b, scratch_a, scratch_b;
+        for (std::size_t r = 0; r < a.rows(); ++r) {
+            for (std::size_t j = 0; j < bw; ++j) a(r, j) = vec_rho0(r, 0);
+        }
+        b = a;
+        std::mt19937_64 rng(4242 + bw);
+        std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
+        std::vector<std::size_t> idx(bw);
+        for (std::size_t step = 0; step < 4000; ++step) {
+            for (std::size_t& i : idx) i = dist(rng);
+            if (step % 50 == 0) std::fill(idx.begin(), idx.end(), idx[0]);
+            detail::step_block_1q(gates1q(), idx.data(), bw, a, scratch_a);
+            per_column_step(gates1q(), idx.data(), bw, b, scratch_b);
+        }
+        ASSERT_EQ(a.rows(), b.rows());
+        ASSERT_EQ(a.cols(), b.cols());
+        for (std::size_t k = 0; k < a.data().size(); ++k) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.data()[k].real()),
+                      std::bit_cast<std::uint64_t>(b.data()[k].real()))
+                << "bw=" << bw << " element " << k;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.data()[k].imag()),
+                      std::bit_cast<std::uint64_t>(b.data()[k].imag()))
+                << "bw=" << bw << " element " << k;
+        }
+    }
 }
 
 }  // namespace
